@@ -1,11 +1,13 @@
 // Undirected triangle counting and clustering coefficients (Table 3's
-// second parallel benchmark). The paper notes triangle counting is directly
-// related to relational joins; here it is a merge-intersection of sorted
-// adjacency vectors — exactly what the sorted-adjacency graph
-// representation (§2.2) is good at. The intersections run over AlgoView
-// CSR spans by default (self-loops skipped inline; they never close a
-// triangle); csr::SetEnabled(false) selects the legacy hash-adjacency
-// oracle used by the parity suite.
+// second parallel benchmark). The count orients every edge from lower to
+// higher (degree, index) into a flat forward CSR and, per node, marks its
+// forward neighbors in a per-worker scratch array and scans theirs: each
+// triangle is found once, from its lowest-order vertex. The per-node
+// participation counts merge-intersect sorted adjacency runs — exactly what
+// the sorted-adjacency graph representation (§2.2) is good at. Both run
+// over AlgoView CSR spans by default (self-loops never close a triangle);
+// csr::SetEnabled(false) selects the legacy hash-adjacency oracle used by
+// the parity suite.
 #ifndef RINGO_ALGO_TRIANGLES_H_
 #define RINGO_ALGO_TRIANGLES_H_
 
@@ -15,11 +17,11 @@
 namespace ringo {
 
 // Total number of distinct triangles {u, v, w}. Self-loops are ignored.
-// Sequential reference implementation.
+// Runs the counting kernel on the calling thread.
 int64_t TriangleCount(const UndirectedGraph& g);
 
-// OpenMP-parallel triangle count using degree-ordered forward adjacency
-// (each triangle found exactly once, from its lowest-order vertex).
+// The same count with the per-node work spread over NumThreads() workers;
+// equal to TriangleCount at every thread count.
 int64_t ParallelTriangleCount(const UndirectedGraph& g);
 
 // Per-node participation: (id, #triangles through the node), ascending.

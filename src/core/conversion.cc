@@ -194,14 +194,17 @@ Result<UndirectedGraph> TableToUndirectedGraph(const Table& t,
   trace::Span span("TableToUndirectedGraph");
   span.AddAttr("rows", t.NumRows());
   std::vector<NodeId> src, dst;
-  RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
-  RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, dst_col, &dst));
+  {
+    RINGO_TRACE_SPAN("TableToUndirectedGraph/extract");
+    RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
+    RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, dst_col, &dst));
+  }
   // Undirected adjacency of u = dedup(out-run ∪ in-run).
   const SortedPairs sp(std::move(src), std::move(dst),
                        "TableToUndirectedGraph/sort",
                        "TableToUndirectedGraph/count");
 
-  RINGO_TRACE_SPAN("TableToUndirectedGraph/fill");
+  trace::Span fill_span("TableToUndirectedGraph/fill");
   UndirectedGraph g;
   const int64_t nn = static_cast<int64_t>(sp.nodes.size());
   g.ReserveNodes(nn);
@@ -246,7 +249,10 @@ Result<UndirectedGraph> TableToUndirectedGraph(const Table& t,
     half += half_edges[i];
     loops += self_loops[i];
   }
-  g.BumpEdgeCount((half - loops) / 2 + loops);
+  const int64_t edges = (half - loops) / 2 + loops;
+  g.BumpEdgeCount(edges);
+  fill_span.AddAttr("nodes", nn);
+  fill_span.AddAttr("edges", edges);
   return g;
 }
 

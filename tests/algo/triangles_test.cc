@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "gen/graph_gen.h"
 #include "test_support.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace ringo {
 namespace {
@@ -120,6 +125,26 @@ TEST(TriangleCountTest, RMatGraphSequentialEqualsParallel) {
   const auto edges = gen::RMatEdges(9, 6000, 4).ValueOrDie();
   const UndirectedGraph g = gen::BuildUndirected(edges);
   EXPECT_EQ(TriangleCount(g), ParallelTriangleCount(g));
+}
+
+// The library's own trace splits a count into the orientation build and
+// the intersection, both children of the entry point's span.
+TEST(TriangleCountTest, TraceSplitsOrientAndIntersect) {
+  metrics::SetEnabled(true);
+  trace::Clear();
+  const UndirectedGraph g = gen::Complete(5);
+  EXPECT_EQ(ParallelTriangleCount(g), 10);
+  EXPECT_EQ(TriangleCount(g), 10);
+  std::map<std::string, int> depth;
+  for (const trace::SpanEvent& e : trace::Spans()) depth[e.name] = e.depth;
+  for (const std::string root :
+       {"Algo/ParallelTriangleCount", "Algo/TriangleCount"}) {
+    ASSERT_EQ(depth.count(root), 1u) << root;
+    for (const char* phase : {"/orient", "/intersect"}) {
+      ASSERT_EQ(depth.count(root + phase), 1u) << root << phase;
+      EXPECT_EQ(depth[root + phase], depth[root] + 1) << root << phase;
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "gen/graph_gen.h"
 #include "test_support.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace ringo {
 namespace {
@@ -186,6 +191,25 @@ TEST(UndirectedConversionTest, MergesDirections) {
   EXPECT_TRUE(g->HasEdge(1, 2));
   EXPECT_TRUE(g->HasEdge(3, 2));
   EXPECT_TRUE(g->HasEdge(4, 4));
+}
+
+// Like TableToGraph, the undirected build traces extract/sort/count/fill,
+// and its fill span carries the node and edge counts.
+TEST(UndirectedConversionTest, TracePhases) {
+  metrics::SetEnabled(true);
+  trace::Clear();
+  TablePtr t = MakeIntTable({"s", "d"}, {{1, 2}, {2, 1}, {2, 3}, {3, 3}});
+  ASSERT_TRUE(TableToUndirectedGraph(*t, "s", "d").ok());
+  std::map<std::string, trace::SpanEvent> by_name;
+  for (trace::SpanEvent& e : trace::Spans()) by_name[e.name] = std::move(e);
+  for (const char* phase : {"extract", "sort", "count", "fill"}) {
+    const std::string name = std::string("TableToUndirectedGraph/") + phase;
+    ASSERT_EQ(by_name.count(name), 1u) << name;
+    EXPECT_EQ(by_name[name].depth, 1) << name;
+  }
+  const std::vector<std::pair<std::string, int64_t>> want = {{"nodes", 3},
+                                                             {"edges", 3}};
+  EXPECT_EQ(by_name["TableToUndirectedGraph/fill"].int_attrs, want);
 }
 
 class UndirectedConversionProperty : public ::testing::TestWithParam<uint64_t> {

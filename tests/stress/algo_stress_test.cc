@@ -16,6 +16,7 @@
 #include "algo/louvain.h"
 #include "algo/pagerank.h"
 #include "algo/triangles.h"
+#include "gen/graph_gen.h"
 #include "stress/stress_support.h"
 #include "test_support.h"
 #include "util/parallel.h"
@@ -182,17 +183,37 @@ TEST(AnfStress, EstimatesAreThreadCountInvariant) {
   }
 }
 
+// Skewed RMAT graph over more than three of DeterministicBlockSum's
+// 4096-node blocks: hubs, a few self-loops on them, and isolated nodes.
+// Every worker counts several blocks with the same scratch marker, so a
+// mark left set by one node would inflate a later node's count.
+UndirectedGraph SkewedTriangleGraph() {
+  UndirectedGraph g =
+      gen::BuildUndirected(gen::RMatEdges(15, 120000, 0x5EE).ValueOrDie());
+  for (NodeId hub = 0; hub < 8; ++hub) g.AddEdge(hub, hub);
+  for (NodeId id = NodeId{1} << 15; id < (NodeId{1} << 15) + 64; ++id) {
+    g.AddNode(id);
+  }
+  return g;
+}
+
 TEST(TriangleStress, ParallelCountMatchesSequentialAndBrute) {
   const UndirectedGraph small = testing::RandomUndirected(120, 400, 0x3A3);
   const int64_t brute = testing::BruteTriangles(small);
   const UndirectedGraph big = testing::RandomUndirected(4000, 30000, 0x7A7);
-  ScopedNumThreads seq(1);
-  const int64_t big_reference = TriangleCount(big);
+  const int64_t big_reference = testing::EdgeIteratorTriangles(big);
+  const UndirectedGraph skewed = SkewedTriangleGraph();
+  ASSERT_GT(skewed.NumNodes(), 3 * 4096);
+  const int64_t skewed_reference = testing::EdgeIteratorTriangles(skewed);
+  ASSERT_GT(skewed_reference, 0);
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
     EXPECT_EQ(ParallelTriangleCount(small), brute) << "tc=" << tc;
     EXPECT_EQ(TriangleCount(small), brute) << "tc=" << tc;
     EXPECT_EQ(ParallelTriangleCount(big), big_reference) << "tc=" << tc;
+    EXPECT_EQ(TriangleCount(big), big_reference) << "tc=" << tc;
+    EXPECT_EQ(ParallelTriangleCount(skewed), skewed_reference) << "tc=" << tc;
+    EXPECT_EQ(TriangleCount(skewed), skewed_reference) << "tc=" << tc;
   }
 }
 

@@ -83,6 +83,38 @@ inline int64_t BruteTriangles(const UndirectedGraph& g) {
   return count;
 }
 
+// Edge-iterator triangle count over the graph's own sorted adjacency
+// vectors: for each edge u < v, std::set_intersection of the two neighbor
+// lists counts the w > v adjacent to both, so each triangle u < v < w is
+// counted once and self-loops never qualify. Linear per edge instead of
+// BruteTriangles' O(n^3), so it serves as the reference on large graphs;
+// it uses no AlgoView and no library kernel.
+inline int64_t EdgeIteratorTriangles(const UndirectedGraph& g) {
+  // Output iterator that only counts what set_intersection writes.
+  struct Counter {
+    int64_t* n;
+    Counter& operator*() { return *this; }
+    Counter& operator=(NodeId) {
+      ++*n;
+      return *this;
+    }
+    Counter& operator++() { return *this; }
+    Counter operator++(int) { return *this; }
+  };
+  int64_t count = 0;
+  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeData& nd) {
+    const std::vector<NodeId>& nu = nd.nbrs;
+    for (auto v = std::upper_bound(nu.begin(), nu.end(), u); v != nu.end();
+         ++v) {
+      const std::vector<NodeId>& nv = g.GetNode(*v)->nbrs;
+      std::set_intersection(v + 1, nu.end(),
+                            std::upper_bound(nv.begin(), nv.end(), *v),
+                            nv.end(), Counter{&count});
+    }
+  });
+  return count;
+}
+
 // Brute-force BFS distances via Floyd–Warshall-free repeated relaxation.
 inline std::vector<std::vector<int64_t>> BruteAllPairs(
     const UndirectedGraph& g) {

@@ -1,7 +1,8 @@
 // Regression tests for the test scaffolding itself: the random graph
 // builders promise *exactly* m edges (duplicates and disallowed self-loops
 // are retried), which the algorithm property tests rely on when they
-// reason about densities.
+// reason about densities. The reference oracles get checked against each
+// other.
 #include <gtest/gtest.h>
 
 #include "test_support.h"
@@ -57,6 +58,21 @@ TEST(RandomUndirectedTest, NoSelfLoopsEver) {
   const UndirectedGraph g = testing::RandomUndirected(40, 300, 21);
   EXPECT_EQ(g.NumEdges(), 300);
   g.ForEachEdge([](NodeId u, NodeId v) { EXPECT_NE(u, v); });
+}
+
+// The large-graph triangle oracle agrees with the O(n^3) enumeration,
+// self-loops and isolated nodes included.
+TEST(EdgeIteratorTrianglesTest, MatchesBruteForce) {
+  for (const uint64_t seed : {3u, 8u, 31u}) {
+    const UndirectedGraph g = testing::RandomUndirected(60, 400, seed);
+    EXPECT_EQ(testing::EdgeIteratorTriangles(g), testing::BruteTriangles(g))
+        << "seed=" << seed;
+  }
+  UndirectedGraph g = testing::RandomUndirected(30, 120, 5);
+  for (NodeId u : {0, 4, 9}) g.AddEdge(u, u);
+  for (NodeId u = 100; u < 105; ++u) g.AddNode(u);
+  EXPECT_EQ(testing::EdgeIteratorTriangles(g), testing::BruteTriangles(g));
+  EXPECT_EQ(testing::EdgeIteratorTriangles(UndirectedGraph()), 0);
 }
 
 }  // namespace
