@@ -1,7 +1,11 @@
 #include "core/conversion.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "util/parallel.h"
 #include "util/radix_sort.h"
@@ -43,115 +47,265 @@ Status ExtractNodeColumn(const Table& t, std::string_view name,
   return ExtractNodeColumnRows(t, name, nullptr, out);
 }
 
-// The sorted-pair scaffold shared by the directed and undirected builds.
-struct SortedPairs {
-  std::vector<Edge> fwd;  // Sorted by (src, dst).
-  std::vector<Edge> rev;  // Sorted by (dst, src), stored as (dst, src).
-  std::vector<NodeId> nodes;  // Distinct endpoint ids, ascending.
+// [min, max] over both endpoint columns (non-empty).
+std::pair<NodeId, NodeId> IdRange(const std::vector<NodeId>& src,
+                                  const std::vector<NodeId>& dst) {
+  const int parts = NumThreads();
+  const std::vector<int64_t> bounds =
+      PartitionRange(static_cast<int64_t>(src.size()), parts);
+  std::vector<NodeId> los(parts), his(parts);
+  ParallelFor(0, parts, [&](int64_t p) {
+    NodeId lo = INT64_MAX, hi = INT64_MIN;
+    for (int64_t i = bounds[p]; i < bounds[p + 1]; ++i) {
+      lo = std::min({lo, src[i], dst[i]});
+      hi = std::max({hi, src[i], dst[i]});
+    }
+    los[p] = lo;
+    his[p] = hi;
+  });
+  return {*std::min_element(los.begin(), los.end()),
+          *std::max_element(his.begin(), his.end())};
+}
 
-  // `phase_prefix` names the trace spans of the two phases, e.g.
-  // "TableToGraph" → "TableToGraph/sort" + "TableToGraph/count".
-  SortedPairs(std::vector<NodeId> src, std::vector<NodeId> dst,
-              const char* sort_span, const char* count_span) {
-    const int64_t n = static_cast<int64_t>(src.size());
-    {
-      trace::Span span(sort_span);
-      span.AddAttr("rows", n);
-      fwd.resize(n);
-      rev.resize(n);
-      ParallelFor(0, n, [&](int64_t i) {
-        fwd[i] = {src[i], dst[i]};
-        rev[i] = {dst[i], src[i]};
-      });
-      // Edge = pair<int64, int64>: the radix kernel sorts the packed
-      // 128-bit (src, dst) keys directly — the hot half of the sort-first
-      // conversion (§2.4). Both kernels yield the identical (total-order)
-      // result.
-      if (radix::Enabled()) {
-        RadixSortI64Pairs(fwd.data(), n);
-        RadixSortI64Pairs(rev.data(), n);
-      } else {
-        ParallelSort(fwd.begin(), fwd.end());
-        ParallelSort(rev.begin(), rev.end());
-      }
+// Arc records. Every sort-first build sorts arcs (u, v) by (u, v) and reads
+// node u's adjacency off its run of equal heads. When the endpoint ids span
+// at most 2^32 values an arc packs into one uint64 key (u − lo) << bits |
+// (v − lo), whose unsigned order is the (u, v) order; wider spans keep the
+// 128-bit Edge record. Both sort on the radix kernel, or on ParallelSort
+// when radix::SetEnabled(false).
+struct PackedArcs {
+  using Record = uint64_t;
+  NodeId lo = 0;
+  int bits = 0;  // Width of one endpoint offset, at most 32.
+
+  Record Make(NodeId u, NodeId v) const {
+    return (Offset(u) << bits) | Offset(v);
+  }
+  NodeId Head(Record r) const { return Id(r >> bits); }
+  NodeId Tail(Record r) const {
+    return Id(r & ((uint64_t{1} << bits) - 1));
+  }
+  static void Sort(std::vector<Record>& v) {
+    if (radix::Enabled()) {
+      RadixSortU64(v);
+    } else {
+      ParallelSort(v.begin(), v.end());
     }
-    trace::Span span(count_span);
-    // Distinct nodes = union of the two sorted first-components.
-    std::vector<NodeId> a, b;
-    a.reserve(n);
-    for (const Edge& e : fwd) {
-      if (a.empty() || a.back() != e.first) a.push_back(e.first);
-    }
-    b.reserve(n);
-    for (const Edge& e : rev) {
-      if (b.empty() || b.back() != e.first) b.push_back(e.first);
-    }
-    nodes.resize(a.size() + b.size());
-    nodes.erase(std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                               nodes.begin()),
-                nodes.end());
-    span.AddAttr("distinct_nodes", static_cast<int64_t>(nodes.size()));
   }
 
-  // Run boundaries of `key` in a (key-major) sorted pair array.
-  static std::pair<int64_t, int64_t> Run(const std::vector<Edge>& v,
-                                         NodeId key) {
-    auto lo = std::lower_bound(v.begin(), v.end(), Edge{key, INT64_MIN});
-    auto hi = std::upper_bound(v.begin(), v.end(), Edge{key, INT64_MAX});
-    return {lo - v.begin(), hi - v.begin()};
+ private:
+  uint64_t Offset(NodeId x) const {
+    return static_cast<uint64_t>(x) - static_cast<uint64_t>(lo);
+  }
+  NodeId Id(uint64_t offset) const {
+    return static_cast<NodeId>(static_cast<uint64_t>(lo) + offset);
   }
 };
 
-// Copies the second components of v[lo, hi) into `dst`, deduplicating
-// consecutive equal values (the run is sorted).
-void FillDedup(const std::vector<Edge>& v, int64_t lo, int64_t hi,
-               std::vector<NodeId>* dst) {
-  dst->clear();
-  dst->reserve(hi - lo);
-  for (int64_t i = lo; i < hi; ++i) {
-    if (dst->empty() || dst->back() != v[i].second) {
-      dst->push_back(v[i].second);
+struct WideArcs {
+  using Record = Edge;
+  Record Make(NodeId u, NodeId v) const { return {u, v}; }
+  NodeId Head(const Record& r) const { return r.first; }
+  NodeId Tail(const Record& r) const { return r.second; }
+  static void Sort(std::vector<Record>& v) {
+    if (radix::Enabled()) {
+      RadixSortI64Pairs(v.data(), static_cast<int64_t>(v.size()));
+    } else {
+      ParallelSort(v.begin(), v.end());
     }
   }
+};
+
+// How each graph class lays out its arcs and names its trace phases.
+template <typename Graph>
+struct Layout;
+
+// Directed: the forward arcs u→v give the out-runs and the reversed arcs
+// v→u the in-runs, sorted as two arrays.
+template <>
+struct Layout<DirectedGraph> {
+  static constexpr size_t kArrays = 2;
+  static constexpr const char* kSortSpan = "TableToGraph/sort";
+  static constexpr const char* kCountSpan = "TableToGraph/count";
+  static constexpr const char* kFillSpan = "TableToGraph/fill";
+
+  template <typename Arcs>
+  static std::array<std::vector<typename Arcs::Record>, 2> MakeArcs(
+      const Arcs& arcs, const std::vector<NodeId>& src,
+      const std::vector<NodeId>& dst) {
+    const int64_t n = static_cast<int64_t>(src.size());
+    std::array<std::vector<typename Arcs::Record>, 2> out;
+    out[0].resize(n);
+    out[1].resize(n);
+    ParallelFor(0, n, [&](int64_t i) {
+      out[0][i] = arcs.Make(src[i], dst[i]);
+      out[1][i] = arcs.Make(dst[i], src[i]);
+    });
+    return out;
+  }
+  static std::array<std::vector<NodeId>*, 2> RunVectors(
+      DirectedGraph::NodeData* nd) {
+    return {&nd->out, &nd->in};
+  }
+  // Each edge counts once, at its source.
+  static int64_t OwnedEdges(NodeId, const DirectedGraph::NodeData& nd) {
+    return static_cast<int64_t>(nd.out.size());
+  }
+};
+
+// Undirected: both orientations of every row go into one array, so a
+// node's single run is its whole adjacency.
+template <>
+struct Layout<UndirectedGraph> {
+  static constexpr size_t kArrays = 1;
+  static constexpr const char* kSortSpan = "TableToUndirectedGraph/sort";
+  static constexpr const char* kCountSpan = "TableToUndirectedGraph/count";
+  static constexpr const char* kFillSpan = "TableToUndirectedGraph/fill";
+
+  template <typename Arcs>
+  static std::array<std::vector<typename Arcs::Record>, 1> MakeArcs(
+      const Arcs& arcs, const std::vector<NodeId>& src,
+      const std::vector<NodeId>& dst) {
+    const int64_t n = static_cast<int64_t>(src.size());
+    std::array<std::vector<typename Arcs::Record>, 1> out;
+    out[0].resize(2 * n);
+    ParallelFor(0, n, [&](int64_t i) {
+      out[0][2 * i] = arcs.Make(src[i], dst[i]);
+      out[0][2 * i + 1] = arcs.Make(dst[i], src[i]);
+    });
+    return out;
+  }
+  static std::array<std::vector<NodeId>*, 1> RunVectors(
+      UndirectedGraph::NodeData* nd) {
+    return {&nd->nbrs};
+  }
+  // Each edge counts once, at its lower endpoint (a self-loop has one).
+  static int64_t OwnedEdges(NodeId id, const UndirectedGraph::NodeData& nd) {
+    return nd.nbrs.end() -
+           std::lower_bound(nd.nbrs.begin(), nd.nbrs.end(), id);
+  }
+};
+
+// The run walk over K sorted arc arrays: the ascending distinct heads, and
+// for node nodes[i] its run arcs[k][begin[k][i], begin[k][i + 1]) in every
+// array (empty where it heads no arc).
+template <size_t K>
+struct NodeRuns {
+  std::vector<NodeId> nodes;
+  std::array<std::vector<int64_t>, K> begin;
+};
+
+template <typename Arcs, size_t K>
+NodeRuns<K> WalkRuns(
+    const Arcs& arcs,
+    const std::array<std::vector<typename Arcs::Record>, K>& sorted) {
+  NodeRuns<K> runs;
+  std::array<size_t, K> pos{};
+  while (true) {
+    bool found = false;
+    NodeId id = 0;
+    for (size_t k = 0; k < K; ++k) {
+      if (pos[k] == sorted[k].size()) continue;
+      const NodeId head = arcs.Head(sorted[k][pos[k]]);
+      if (!found || head < id) id = head;
+      found = true;
+    }
+    if (!found) break;
+    runs.nodes.push_back(id);
+    for (size_t k = 0; k < K; ++k) {
+      runs.begin[k].push_back(static_cast<int64_t>(pos[k]));
+      while (pos[k] < sorted[k].size() &&
+             arcs.Head(sorted[k][pos[k]]) == id) {
+        ++pos[k];
+      }
+    }
+  }
+  for (size_t k = 0; k < K; ++k) {
+    runs.begin[k].push_back(static_cast<int64_t>(sorted[k].size()));
+  }
+  return runs;
 }
 
-// Sort + count + fill over already-extracted (src, dst) pairs — the body
-// TableToGraph and TableToGraphFiltered share once extraction has run.
-DirectedGraph BuildDirectedFromPairs(std::vector<NodeId> src,
-                                     std::vector<NodeId> dst,
-                                     trace::Span* span) {
-  const SortedPairs sp(std::move(src), std::move(dst), "TableToGraph/sort",
-                       "TableToGraph/count");
+// Sort + count + fill over already-extracted endpoint columns, with the
+// arc record chosen by the caller. The columns are consumed: they are freed
+// once the arcs are built, before the sort allocates its scratch.
+template <typename Graph, typename Arcs>
+Graph BuildWithArcs(const Arcs& arcs, std::vector<NodeId> src,
+                    std::vector<NodeId> dst, trace::Span* span) {
+  using L = Layout<Graph>;
+  constexpr size_t K = L::kArrays;
+  std::array<std::vector<typename Arcs::Record>, K> sorted;
+  {
+    trace::Span sort_span(L::kSortSpan);
+    sort_span.AddAttr("rows", static_cast<int64_t>(src.size()));
+    sorted = L::MakeArcs(arcs, src, dst);
+    std::vector<NodeId>().swap(src);
+    std::vector<NodeId>().swap(dst);
+    for (auto& a : sorted) Arcs::Sort(a);
+  }
+  NodeRuns<K> runs;
+  {
+    trace::Span count_span(L::kCountSpan);
+    runs = WalkRuns(arcs, sorted);
+    count_span.AddAttr("distinct_nodes",
+                       static_cast<int64_t>(runs.nodes.size()));
+  }
 
-  trace::Span fill_span("TableToGraph/fill");
-  DirectedGraph g;
-  const int64_t nn = static_cast<int64_t>(sp.nodes.size());
+  trace::Span fill_span(L::kFillSpan);
+  Graph g;
+  const int64_t nn = static_cast<int64_t>(runs.nodes.size());
   g.ReserveNodes(nn);
-  // Phase 1 (sequential, cheap): create all node entries. After this the
-  // hash table never rehashes, so concurrent reads during the fill are safe.
-  for (NodeId id : sp.nodes) g.AddNode(id);
+  // All nodes go in first, in one pass: the table never rehashes after
+  // this, so the parallel fill below only reads it.
+  auto& table = g.mutable_node_table();
+  for (const NodeId id : runs.nodes) table.Insert(id, {});
+  if (nn > 0) g.NoteMaxNodeId(runs.nodes.back());
 
-  // Phase 2 (parallel, contention-free): each thread fills the adjacency
-  // vectors of its own nodes.
-  auto* table = &g.mutable_node_table();
-  std::vector<int64_t> edge_count_per_node(nn, 0);
+  // Each node's vectors are copies of its runs' tails (sorted, since the
+  // arcs are), minus duplicate arcs. Threads own disjoint nodes.
+  std::vector<int64_t> owned(nn);
   ParallelForDynamic(0, nn, [&](int64_t i) {
-    const NodeId id = sp.nodes[i];
-    DirectedGraph::NodeData* nd = table->Find(id);
-    const auto [olo, ohi] = SortedPairs::Run(sp.fwd, id);
-    FillDedup(sp.fwd, olo, ohi, &nd->out);
-    const auto [ilo, ihi] = SortedPairs::Run(sp.rev, id);
-    FillDedup(sp.rev, ilo, ihi, &nd->in);
-    edge_count_per_node[i] = static_cast<int64_t>(nd->out.size());
+    auto* nd = table.Find(runs.nodes[i]);
+    const auto vectors = L::RunVectors(nd);
+    for (size_t k = 0; k < K; ++k) {
+      const auto* run = sorted[k].data();
+      const int64_t lo = runs.begin[k][i], hi = runs.begin[k][i + 1];
+      vectors[k]->reserve(hi - lo);
+      for (int64_t j = lo; j < hi; ++j) {
+        if (j == lo || run[j] != run[j - 1]) {
+          vectors[k]->push_back(arcs.Tail(run[j]));
+        }
+      }
+    }
+    owned[i] = L::OwnedEdges(runs.nodes[i], *nd);
   });
   int64_t edges = 0;
-  for (int64_t c : edge_count_per_node) edges += c;
+  for (const int64_t c : owned) edges += c;
   g.BumpEdgeCount(edges);
   fill_span.AddAttr("nodes", nn);
   fill_span.AddAttr("edges", edges);
   span->AddAttr("nodes", nn);
   span->AddAttr("edges", edges);
   return g;
+}
+
+// The sort-first core behind every table→graph build: packed arc keys
+// when the id span fits in 32 bits per endpoint, Edge records otherwise.
+template <typename Graph>
+Graph BuildGraph(std::vector<NodeId> src, std::vector<NodeId> dst,
+                 trace::Span* span) {
+  PackedArcs packed;
+  if (!src.empty()) {
+    const auto [lo, hi] = IdRange(src, dst);
+    const uint64_t width =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (width > UINT32_MAX) {
+      return BuildWithArcs<Graph>(WideArcs{}, std::move(src), std::move(dst),
+                                  span);
+    }
+    packed = {lo, static_cast<int>(std::bit_width(width))};
+  }
+  return BuildWithArcs<Graph>(packed, std::move(src), std::move(dst), span);
 }
 
 }  // namespace
@@ -166,7 +320,7 @@ Result<DirectedGraph> TableToGraph(const Table& t, std::string_view src_col,
     RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
     RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, dst_col, &dst));
   }
-  return BuildDirectedFromPairs(std::move(src), std::move(dst), &span);
+  return BuildGraph<DirectedGraph>(std::move(src), std::move(dst), &span);
 }
 
 Result<DirectedGraph> TableToGraphFiltered(const Table& t,
@@ -185,7 +339,7 @@ Result<DirectedGraph> TableToGraphFiltered(const Table& t,
   // Kept rows enter the sort in ascending physical order — exactly the
   // order Select's GatherRows would give them — so the resulting graph is
   // bit-identical to TableToGraph over the materialized selection.
-  return BuildDirectedFromPairs(std::move(src), std::move(dst), &span);
+  return BuildGraph<DirectedGraph>(std::move(src), std::move(dst), &span);
 }
 
 Result<UndirectedGraph> TableToUndirectedGraph(const Table& t,
@@ -199,61 +353,7 @@ Result<UndirectedGraph> TableToUndirectedGraph(const Table& t,
     RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
     RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, dst_col, &dst));
   }
-  // Undirected adjacency of u = dedup(out-run ∪ in-run).
-  const SortedPairs sp(std::move(src), std::move(dst),
-                       "TableToUndirectedGraph/sort",
-                       "TableToUndirectedGraph/count");
-
-  trace::Span fill_span("TableToUndirectedGraph/fill");
-  UndirectedGraph g;
-  const int64_t nn = static_cast<int64_t>(sp.nodes.size());
-  g.ReserveNodes(nn);
-  for (NodeId id : sp.nodes) g.AddNode(id);
-
-  auto* table = &g.mutable_node_table();
-  std::vector<int64_t> half_edges(nn, 0);
-  std::vector<int64_t> self_loops(nn, 0);
-  ParallelForDynamic(0, nn, [&](int64_t i) {
-    const NodeId id = sp.nodes[i];
-    UndirectedGraph::NodeData* nd = table->Find(id);
-    const auto [olo, ohi] = SortedPairs::Run(sp.fwd, id);
-    const auto [ilo, ihi] = SortedPairs::Run(sp.rev, id);
-    nd->nbrs.clear();
-    nd->nbrs.reserve((ohi - olo) + (ihi - ilo));
-    int64_t a = olo, b = ilo;
-    NodeId last = INT64_MIN;
-    auto push = [&](NodeId v) {
-      if (nd->nbrs.empty() || last != v) {
-        nd->nbrs.push_back(v);
-        last = v;
-      }
-    };
-    while (a < ohi || b < ihi) {
-      if (a < ohi && (b >= ihi || sp.fwd[a].second <= sp.rev[b].second)) {
-        push(sp.fwd[a].second);
-        ++a;
-      } else {
-        push(sp.rev[b].second);
-        ++b;
-      }
-    }
-    for (NodeId v : nd->nbrs) {
-      if (v == id) ++self_loops[i];
-      ++half_edges[i];
-    }
-  });
-  // Each undirected edge {u,v}, u != v, appears in two adjacency vectors; a
-  // self-loop appears once.
-  int64_t half = 0, loops = 0;
-  for (int64_t i = 0; i < nn; ++i) {
-    half += half_edges[i];
-    loops += self_loops[i];
-  }
-  const int64_t edges = (half - loops) / 2 + loops;
-  g.BumpEdgeCount(edges);
-  fill_span.AddAttr("nodes", nn);
-  fill_span.AddAttr("edges", edges);
-  return g;
+  return BuildGraph<UndirectedGraph>(std::move(src), std::move(dst), &span);
 }
 
 Result<WeightedGraphResult> TableToWeightedGraph(const Table& t,

@@ -3,13 +3,17 @@
 //
 // Table → graph uses the paper's "sort-first" algorithm:
 //   1. copy the source and destination columns;
-//   2. parallel-sort the (src, dst) pairs (out-adjacency order) and the
-//      (dst, src) pairs (in-adjacency order);
-//   3. compute the exact neighbor count of every node from the sorted runs
-//      — so the node hash table and all adjacency vectors are sized
-//      exactly, with no dynamic growth on the hot path;
-//   4. fill each node's sorted adjacency vectors in parallel — threads own
-//      disjoint nodes, so concurrent access is contention- and lock-free.
+//   2. turn every row into arc records and parallel-sort them: the forward
+//      arcs u→v (out-adjacency order) and the reversed arcs v→u
+//      (in-adjacency order), or for the undirected build both orientations
+//      in one array. An arc is one packed uint64 key when the id span fits
+//      in 32 bits per endpoint, a 128-bit (u, v) pair otherwise;
+//   3. walk the sorted arcs once for the ascending node list and every
+//      node's runs — so the node hash table and all adjacency vectors are
+//      sized exactly, with no dynamic growth on the hot path;
+//   4. fill each node's sorted adjacency vectors from its runs in parallel
+//      — threads own disjoint nodes, so concurrent access is contention-
+//      and lock-free.
 //
 // Graph → table pre-allocates the output and assigns each thread a disjoint
 // slice of nodes and output rows.

@@ -92,7 +92,7 @@ bool DirectedGraph::SortedContains(const std::vector<NodeId>& vec, NodeId v) {
 
 bool DirectedGraph::EnsureNode(NodeId id) {
   const bool inserted = nodes_.Insert(id, NodeData{}).second;
-  if (inserted) next_node_id_ = std::max(next_node_id_, id + 1);
+  if (inserted) next_node_id_ = WatermarkAfter(next_node_id_, id);
   return inserted;
 }
 
@@ -111,9 +111,8 @@ NodeId DirectedGraph::AddNode() {
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
   // The watermark is advanced by every insert path (EnsureNode), so this
   // probe is O(1) amortized; it only walks when ids were spliced in via
-  // mutable_node_table() without NoteMaxNodeId.
-  while (nodes_.Contains(next_node_id_)) ++next_node_id_;
-  const NodeId id = next_node_id_;
+  // mutable_node_table() without NoteMaxNodeId, or once INT64_MAX is held.
+  const NodeId id = UnusedNodeId(nodes_, &next_node_id_);
   AddNodeLocked(id);
   return id;
 }
@@ -183,9 +182,11 @@ EdgeBatchStats DirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
   }
 
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
-  // Ids at or above this watermark did not exist before the batch, so
-  // creating them never renumbers existing snapshot rows — the batch stays
-  // journal-replayable (DESIGN.md §11).
+  // A created id at or above this watermark lies above every id held
+  // before the batch, so creating it never renumbers existing snapshot
+  // rows — the batch stays journal-replayable (DESIGN.md §11). Saturation
+  // keeps this sound: the only id at or above a saturated watermark is
+  // INT64_MAX, and a batch creates it only when it was not held.
   const NodeId pre_watermark = next_node_id_;
   std::vector<NodeId> created;
 

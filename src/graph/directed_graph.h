@@ -151,7 +151,7 @@ class DirectedGraph {
   }
   void NoteMaxNodeId(NodeId id) {
     std::unique_lock<std::shared_mutex> lk(structure_mu_);
-    next_node_id_ = std::max(next_node_id_, id + 1);
+    next_node_id_ = WatermarkAfter(next_node_id_, id);
   }
 
   // Structure-only heap usage in bytes (node table + adjacency vectors).

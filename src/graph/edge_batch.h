@@ -101,11 +101,14 @@ inline void SortTransposedOps(std::vector<EdgeOp>& ops) {
     }
   }
   if (sorted) return;
-  const int64_t range = hi - lo + 1;
-  if (range > std::max<int64_t>(int64_t{1} << 16, 8 * n)) {
+  // The id span is unsigned: between extreme ids it exceeds INT64_MAX.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  const int64_t max_range = std::max<int64_t>(int64_t{1} << 16, 8 * n);
+  if (span >= static_cast<uint64_t>(max_range)) {
     SortOps(ops);
     return;
   }
+  const int64_t range = static_cast<int64_t>(span) + 1;
   std::vector<int32_t> starts(range + 1, 0);
   for (int64_t i = 0; i < n; ++i) ++starts[ops[i].u - lo + 1];
   for (int64_t r = 0; r < range; ++r) starts[r + 1] += starts[r];

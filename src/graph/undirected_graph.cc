@@ -94,7 +94,7 @@ bool UndirectedGraph::SortedErase(std::vector<NodeId>& vec, NodeId v) {
 
 bool UndirectedGraph::EnsureNode(NodeId id) {
   const bool inserted = nodes_.Insert(id, NodeData{}).second;
-  if (inserted) next_node_id_ = std::max(next_node_id_, id + 1);
+  if (inserted) next_node_id_ = WatermarkAfter(next_node_id_, id);
   return inserted;
 }
 
@@ -112,8 +112,7 @@ bool UndirectedGraph::AddNode(NodeId id) {
 NodeId UndirectedGraph::AddNode() {
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
   // O(1) amortized: EnsureNode keeps the watermark past every insert.
-  while (nodes_.Contains(next_node_id_)) ++next_node_id_;
-  const NodeId id = next_node_id_;
+  const NodeId id = UnusedNodeId(nodes_, &next_node_id_);
   AddNodeLocked(id);
   return id;
 }
@@ -169,9 +168,10 @@ EdgeBatchStats UndirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
   }
 
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
-  // Ids at or above this watermark did not exist before the batch, so the
-  // batch stays journal-replayable even when it creates them (DESIGN.md
-  // §11).
+  // A created id at or above this watermark lies above every id held
+  // before the batch, so the batch stays journal-replayable even when it
+  // creates nodes (DESIGN.md §11); see DirectedGraph for why saturation
+  // keeps this sound.
   const NodeId pre_watermark = next_node_id_;
   std::vector<NodeId> created;
 

@@ -111,7 +111,7 @@ class UndirectedGraph {
   }
   void NoteMaxNodeId(NodeId id) {
     std::unique_lock<std::shared_mutex> lk(structure_mu_);
-    next_node_id_ = std::max(next_node_id_, id + 1);
+    next_node_id_ = WatermarkAfter(next_node_id_, id);
   }
 
   int64_t MemoryUsageBytes() const;

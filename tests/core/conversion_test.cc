@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gen/graph_gen.h"
 #include "test_support.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -252,6 +255,81 @@ TEST(ConversionThreadingTest, ForcedMultiThreadFillMatchesNaive) {
     EXPECT_TRUE(fast->SameStructure(*naive)) << threads << " threads";
   }
   SetNumThreads(0);
+}
+
+// Id sets that stress the arc encoding: negative ids, spans on both sides
+// of the packed/wide cutoff (2^32 values per endpoint) at the bottom, the
+// middle and the top of the int64 range, and the two int64 ends together.
+std::vector<std::vector<NodeId>> ExtremeIdSets() {
+  constexpr int64_t k31 = int64_t{1} << 31, k32 = int64_t{1} << 32;
+  std::vector<std::vector<NodeId>> sets = {
+      {-1000003, -77, -5, -1},
+      {INT64_MIN, -1, 0, INT64_MAX},
+  };
+  for (const NodeId lo : {INT64_MIN, NodeId{-3}, INT64_MAX - k32}) {
+    for (const int64_t width : {k31 - 1, k31, k32 - 1, k32}) {
+      sets.push_back({lo, lo + 1, lo + width / 2, lo + width - 1, lo + width});
+    }
+  }
+  return sets;
+}
+
+// Rows over `ids`: every ordered pair once (self-loops included), then
+// random pairs, so most pairs repeat.
+std::vector<std::vector<int64_t>> RowsOver(const std::vector<NodeId>& ids,
+                                           uint64_t seed) {
+  std::vector<std::vector<int64_t>> rows;
+  for (const NodeId u : ids) {
+    for (const NodeId v : ids) rows.push_back({u, v});
+  }
+  Rng rng(seed);
+  const int64_t k = static_cast<int64_t>(ids.size());
+  for (int i = 0; i < 20000; ++i) {
+    const NodeId u = ids[rng.UniformInt(0, k - 1)];
+    rows.push_back({u, ids[rng.UniformInt(0, k - 1)]});
+  }
+  return rows;
+}
+
+TEST(ConversionExtremeIdsTest, MatchEdgeByEdgeBuilds) {
+  uint64_t seed = 0;
+  for (const std::vector<NodeId>& ids : ExtremeIdSets()) {
+    const std::vector<std::vector<int64_t>> rows = RowsOver(ids, ++seed);
+    const TablePtr t = MakeIntTable({"s", "d"}, rows);
+    const DirectedGraph naive = TableToGraphNaive(*t, "s", "d").ValueOrDie();
+    UndirectedGraph ref;
+    for (const auto& r : rows) ref.AddEdge(r[0], r[1]);
+    // Every third row: the pairs that repeat keep some copies.
+    std::vector<int64_t> keep;
+    DirectedGraph kept_ref;
+    for (int64_t i = 0; i < static_cast<int64_t>(rows.size()); i += 3) {
+      keep.push_back(i);
+      kept_ref.AddEdge(rows[i][0], rows[i][1]);
+    }
+    // Radix off sends both arc record types through ParallelSort.
+    for (const auto& [threads, radix_on] :
+         {std::pair{1, true}, {4, true}, {4, false}}) {
+      SetNumThreads(threads);
+      radix::SetEnabled(radix_on);
+      const std::string where =
+          "ids from " + std::to_string(ids.front()) + " to " +
+          std::to_string(ids.back()) + ", " + std::to_string(threads) +
+          " threads, radix " + (radix_on ? "on" : "off");
+      auto g = TableToGraph(*t, "s", "d");
+      ASSERT_TRUE(g.ok()) << where;
+      EXPECT_TRUE(g->SameStructure(naive)) << where;
+      const NodeId fresh = g->AddNode();
+      EXPECT_EQ(g->NumNodes(), naive.NumNodes() + 1) << where << " " << fresh;
+      auto ug = TableToUndirectedGraph(*t, "s", "d");
+      ASSERT_TRUE(ug.ok()) << where;
+      EXPECT_TRUE(ug->SameStructure(ref)) << where;
+      auto fg = TableToGraphFiltered(*t, "s", "d", keep);
+      ASSERT_TRUE(fg.ok()) << where;
+      EXPECT_TRUE(fg->SameStructure(kept_ref)) << where;
+    }
+    SetNumThreads(0);
+    radix::SetEnabled(true);
+  }
 }
 
 TEST(ConversionScaleTest, RMatGraphBuildsCorrectly) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -28,6 +31,31 @@ TEST(DirectedGraphTest, AutoNodeIdsAreFresh) {
   EXPECT_NE(a, b);
   EXPECT_NE(a, 5);
   EXPECT_EQ(g.NumNodes(), 3);
+}
+
+// Ids at both ends of the int64 range: the id watermark saturates at
+// INT64_MAX instead of overflowing, and AddNode() keeps returning ids the
+// graph does not hold.
+TEST(DirectedGraphTest, ExtremeIdsKeepAutoIdsUnused) {
+  DirectedGraph g;
+  EXPECT_TRUE(g.AddNode(INT64_MIN));
+  EXPECT_TRUE(g.AddNode(INT64_MAX));
+  EXPECT_TRUE(g.AddEdge(INT64_MAX, INT64_MIN));
+  EXPECT_TRUE(g.AddEdge(0, INT64_MAX));
+  std::set<NodeId> seen = {INT64_MIN, 0, INT64_MAX};
+  for (int i = 0; i < 3; ++i) {
+    const NodeId id = g.AddNode();
+    EXPECT_TRUE(seen.insert(id).second) << id;
+    EXPECT_EQ(g.NumNodes(), static_cast<int64_t>(seen.size()));
+  }
+  EXPECT_EQ(g.NumEdges(), 2);
+
+  DirectedGraph b;
+  b.ApplyEdgeBatch({{INT64_MAX, INT64_MIN}, {INT64_MIN, INT64_MAX}}, {});
+  const NodeId id = b.AddNode();
+  EXPECT_NE(id, INT64_MIN);
+  EXPECT_NE(id, INT64_MAX);
+  EXPECT_EQ(b.NumNodes(), 3);
 }
 
 TEST(DirectedGraphTest, AdjacencyVectorsStaySorted) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -85,6 +88,29 @@ TEST(UndirectedGraphTest, ChurnMatchesReference) {
   }
   EXPECT_EQ(g.NumEdges(), static_cast<int64_t>(ref.size()));
   EXPECT_EQ(testing::EdgeSet(g), ref);
+}
+
+// Same as DirectedGraphTest.ExtremeIdsKeepAutoIdsUnused.
+TEST(UndirectedGraphTest, ExtremeIdsKeepAutoIdsUnused) {
+  UndirectedGraph g;
+  EXPECT_TRUE(g.AddNode(INT64_MIN));
+  EXPECT_TRUE(g.AddNode(INT64_MAX));
+  EXPECT_TRUE(g.AddEdge(INT64_MAX, INT64_MIN));
+  EXPECT_TRUE(g.AddEdge(0, INT64_MAX));
+  std::set<NodeId> seen = {INT64_MIN, 0, INT64_MAX};
+  for (int i = 0; i < 3; ++i) {
+    const NodeId id = g.AddNode();
+    EXPECT_TRUE(seen.insert(id).second) << id;
+    EXPECT_EQ(g.NumNodes(), static_cast<int64_t>(seen.size()));
+  }
+  EXPECT_EQ(g.NumEdges(), 2);
+
+  UndirectedGraph b;
+  b.ApplyEdgeBatch({{INT64_MAX, INT64_MIN}, {INT64_MAX, INT64_MAX}}, {});
+  const NodeId id = b.AddNode();
+  EXPECT_NE(id, INT64_MIN);
+  EXPECT_NE(id, INT64_MAX);
+  EXPECT_EQ(b.NumNodes(), 3);
 }
 
 TEST(UndirectedGraphTest, SameStructure) {

@@ -203,15 +203,21 @@ TEST(RadixParityStress, SetOps) {
   ExpectRadixParity("Minus", [&] { return Table::MinusTables(*a, *b); });
 }
 
+// Both builds, directed and undirected: each sorts its own arc arrays, so
+// each has its own comparison fallback to hold against the radix path.
 TEST(RadixParityStress, TableToGraphMatchesComparisonPath) {
   const TablePtr t = MakeEdgeTable(kRows, 0x9999, /*with_weight=*/false);
   DirectedGraph ref;
+  UndirectedGraph uref;
   {
     ScopedNumThreads threads(1);
     ScopedRadix radix_off(false);
     auto g = TableToGraph(*t, "src", "dst");
     ASSERT_TRUE(g.ok());
     ref = std::move(*g);
+    auto ug = TableToUndirectedGraph(*t, "src", "dst");
+    ASSERT_TRUE(ug.ok());
+    uref = std::move(*ug);
   }
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
@@ -219,6 +225,9 @@ TEST(RadixParityStress, TableToGraphMatchesComparisonPath) {
     auto g = TableToGraph(*t, "src", "dst");
     ASSERT_TRUE(g.ok());
     EXPECT_TRUE(g->SameStructure(ref)) << "tc=" << tc;
+    auto ug = TableToUndirectedGraph(*t, "src", "dst");
+    ASSERT_TRUE(ug.ok());
+    EXPECT_TRUE(ug->SameStructure(uref)) << "tc=" << tc;
   }
 }
 
