@@ -33,7 +33,7 @@
 #include <utility>
 
 #include "algo/algo_view.h"
-#include "algo/compactcsr_switch.h"
+#include "algo/compact_csr.h"
 #include "algo/pagerank.h"
 #include "bench/bench_common.h"
 #include "core/conversion.h"

@@ -36,7 +36,6 @@
 
 #include "algo/algo_view.h"
 #include "algo/bfs.h"
-#include "algo/deltacsr_switch.h"
 #include "algo/transform.h"
 #include "bench/bench_common.h"
 #include "core/conversion.h"

@@ -10,9 +10,9 @@ bench-smoke job:
     reused every iteration (view_hits_in_loop >= iterations) and never
     rebuilt mid-loop (view_builds_in_loop == 0).
 
-The legacy-vs-CSR speedup ratios are printed for the before/after record
-in EXPERIMENTS.md but deliberately NOT gated — absolute timings must stay
-green on slow single-core CI machines.
+The BFS speedup over the seed baseline is printed for the record but
+deliberately NOT gated — absolute timings must stay green on slow
+single-core CI machines.
 """
 import os
 import sys
@@ -31,9 +31,8 @@ EXPECTED = [
     "BM_Algos_Diameter_LiveJournalSim",
 ]
 
-# Legacy-vs-CSR pairs for the ported algorithm library: each algorithm has
-# a BM_Algos_<Algo>_LiveJournalSim (CSR, default path) and a
-# BM_Algos_<Algo>_Legacy_LiveJournalSim (hash-adjacency oracle) row.
+# One BM_Algos_<Algo>_LiveJournalSim row per algorithm ported onto the
+# AlgoView CSR.
 PORTED_ALGOS = [
     "PageRank",
     "Hits",
@@ -44,9 +43,7 @@ PORTED_ALGOS = [
     "Anf",
     "Betweenness",
 ]
-for _algo in PORTED_ALGOS:
-    EXPECTED.append(f"BM_Algos_{_algo}_LiveJournalSim")
-    EXPECTED.append(f"BM_Algos_{_algo}_Legacy_LiveJournalSim")
+EXPECTED += [f"BM_Algos_{a}_LiveJournalSim" for a in PORTED_ALGOS]
 
 # Rows that must carry warm-snapshot counters (builds == 0, hits >= iters).
 COUNTER_GATED = [
@@ -85,12 +82,6 @@ def main():
               f"vs seed baseline: {base / new:.2f}x "
               f"({base:.3f} -> {new:.3f} "
               f"{rows[f'BM_Algos_Bfs_{sim}'].get('time_unit', 'ms')})")
-    for algo in PORTED_ALGOS:
-        legacy = rows[f"BM_Algos_{algo}_Legacy_LiveJournalSim"]["real_time"]
-        csr = rows[f"BM_Algos_{algo}_LiveJournalSim"]["real_time"]
-        unit = rows[f"BM_Algos_{algo}_LiveJournalSim"].get("time_unit", "ms")
-        print(f"check_bench_algos: {algo} CSR speedup vs legacy oracle: "
-              f"{legacy / csr:.2f}x ({legacy:.3f} -> {csr:.3f} {unit})")
     checker.ok(f"{len(EXPECTED)} rows")
 
 

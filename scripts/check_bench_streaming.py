@@ -56,7 +56,7 @@ COUNTERS = ["batch_edges", "bench_scale", "builds_in_loop",
             "compactions_in_loop", "delta_applies_in_loop",
             "delta_fraction", "updates_per_sec"]
 
-# Must match deltacsr::CompactionFraction (src/algo/deltacsr_switch.h).
+# Must match deltacsr::CompactionFraction (src/algo/algo_view.cc).
 COMPACTION_FRACTION = 0.15
 
 RATIO_GATE = 5.0

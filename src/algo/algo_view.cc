@@ -4,8 +4,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "algo/compactcsr_switch.h"
-#include "algo/deltacsr_switch.h"
 #include "graph/edge_batch.h"
 #include "graph/snapshot_cache.h"
 #include "util/metrics.h"
@@ -13,6 +11,25 @@
 #include "util/trace.h"
 
 namespace ringo {
+
+namespace deltacsr {
+
+namespace {
+std::atomic<bool> g_enabled{true};
+std::atomic<double> g_compaction_fraction{0.15};
+}  // namespace
+
+bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
+void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+
+double CompactionFraction() {
+  return g_compaction_fraction.load(std::memory_order_relaxed);
+}
+void SetCompactionFraction(double fraction) {
+  g_compaction_fraction.store(fraction, std::memory_order_relaxed);
+}
+
+}  // namespace deltacsr
 
 namespace {
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
-#include "algo/node_index.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/trace.h"
@@ -26,17 +23,16 @@ int LowestZeroBit(uint64_t mask) {
   return 64;
 }
 
-// Shared FM-sketch propagation. `nbrs_of(i)` yields i's neighbors as an
-// ascending dense-index span; a self entry is harmless (OR with the node's
-// own sketch is idempotent), so CSR spans need no filtering and match the
-// legacy scaffold exactly. Sketch seeding consumes the Rng in dense-index
-// order, identical on both paths, and the cardinality estimate uses the
-// blocked deterministic sum — the old `omp reduction` combined partials in
-// a team-size-dependent order, so estimates drifted in the last ulps as the
-// thread count changed (the "ANF seed stability" bug).
-template <typename NbrsFn>
-AnfResult AnfKernel(int64_t n, NbrsFn&& nbrs_of, int64_t max_h, int64_t k,
+// FM-sketch propagation over the pinned snapshot's neighbor runs; a self
+// entry is harmless (OR with the node's own sketch is idempotent), so the
+// runs need no filtering. Sketch seeding consumes the Rng in dense-index
+// order, and the cardinality estimate uses the blocked deterministic sum —
+// the old `omp reduction` combined partials in a team-size-dependent
+// order, so estimates drifted in the last ulps as the thread count changed
+// (the "ANF seed stability" bug).
+AnfResult AnfKernel(const AlgoView& view, int64_t max_h, int64_t k,
                     uint64_t seed) {
+  const int64_t n = view.NumNodes();
   AnfResult out;
 
   // k sketches per node; each node seeds one geometric bit per sketch.
@@ -67,7 +63,7 @@ AnfResult AnfKernel(int64_t n, NbrsFn&& nbrs_of, int64_t max_h, int64_t k,
     ParallelForDynamic(0, n, [&](int64_t i) {
       for (int64_t r = 0; r < k; ++r) {
         uint64_t m = cur[i * k + r];
-        for (const int64_t j : nbrs_of(i)) m |= cur[j * k + r];
+        for (const int64_t j : view.Out(i)) m |= cur[j * k + r];
         next[i * k + r] = m;
       }
     });
@@ -114,26 +110,7 @@ Result<AnfResult> ApproxNeighborhoodFunction(const UndirectedGraph& g,
   span.AddAttr("edges", g.NumEdges());
   span.AddAttr("max_h", max_h);
   span.AddAttr("sketches", k);
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    return AnfKernel(
-        n, [&](int64_t i) { return view->Out(i); }, max_h, k, seed);
-  }
-
-  // Legacy oracle: per-call dense adjacency, one hash probe per edge.
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  std::vector<std::vector<int64_t>> adj(n);
-  ParallelForDynamic(0, n, [&](int64_t i) {
-    for (NodeId v : g.GetNode(ni.IdOf(i))->nbrs) {
-      const int64_t j = ni.IndexOf(v);
-      if (j != i) adj[i].push_back(j);
-    }
-  });
-  return AnfKernel(
-      n, [&](int64_t i) { return std::span<const int64_t>(adj[i]); }, max_h,
-      k, seed);
+  return AnfKernel(*AlgoView::Of(g), max_h, k, seed);
 }
 
 }  // namespace ringo

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <span>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
-#include "algo/node_index.h"
+#include "storage/flat_hash_map.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -14,16 +12,14 @@ namespace ringo {
 
 namespace {
 
-// Shared asynchronous label-propagation rounds. `nbrs_of(u)` yields u's
-// neighbors as an ascending dense-index span; entries equal to u (self-loop
-// in a CSR span) are skipped, matching the legacy scaffold which strips
-// them at build time. The visit shuffle, the dense-scratch frequency count,
-// and the (count desc, label asc) argmax are all order-independent given
-// the same adjacency content, so the legacy and CSR paths produce identical
-// labels for a given seed.
-template <typename NbrsFn>
-std::vector<int64_t> LabelPropKernel(int64_t n, NbrsFn&& nbrs_of,
-                                     int max_rounds, uint64_t seed) {
+// Asynchronous label-propagation rounds over the pinned snapshot's
+// ascending neighbor runs; a self-loop entry (v == u) is skipped, so it
+// never votes. The visit shuffle, the dense-scratch frequency count, and
+// the (count desc, label asc) argmax depend only on the adjacency content,
+// so the labels are a function of the graph and the seed.
+std::vector<int64_t> LabelPropKernel(const AlgoView& view, int max_rounds,
+                                     uint64_t seed) {
+  const int64_t n = view.NumNodes();
   std::vector<int64_t> label(n);
   std::iota(label.begin(), label.end(), 0);
   std::vector<int64_t> visit(n);
@@ -42,7 +38,7 @@ std::vector<int64_t> LabelPropKernel(int64_t n, NbrsFn&& nbrs_of,
     bool changed = false;
     for (int64_t u : visit) {
       touched.clear();
-      for (int64_t v : nbrs_of(u)) {
+      for (int64_t v : view.Out(u)) {
         if (v == u) continue;
         const int64_t l = label[v];
         if (count[l]++ == 0) touched.push_back(l);
@@ -81,83 +77,45 @@ NodeInts LabelPropagation(const UndirectedGraph& g, int max_rounds,
   trace::Span span("Algo/LabelPropagation");
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const std::vector<int64_t> labels = LabelPropKernel(
-        view->NumNodes(), [&](int64_t u) { return view->Out(u); }, max_rounds,
-        seed);
-    return view->node_index().Zip(labels);
-  }
-  // Legacy oracle: per-call dense adjacency, one hash probe per edge.
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  const int64_t n = ni.size();
-  std::vector<std::vector<int64_t>> adj(n);
-  for (int64_t i = 0; i < n; ++i) {
-    for (NodeId v : g.GetNode(ni.IdOf(i))->nbrs) {
-      const int64_t j = ni.IndexOf(v);
-      if (j != i) adj[i].push_back(j);
-    }
-  }
-  const std::vector<int64_t> labels = LabelPropKernel(
-      n, [&](int64_t u) { return std::span<const int64_t>(adj[u]); },
-      max_rounds, seed);
-  return ni.Zip(labels);
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(LabelPropKernel(*view, max_rounds, seed));
 }
 
 double Modularity(const UndirectedGraph& g, const NodeInts& labels) {
   const double m2 = 2.0 * static_cast<double>(g.NumEdges());
   if (m2 == 0) return 0.0;
 
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const int64_t n = view->NumNodes();
-    std::vector<int64_t> lab(n, 0);
-    int64_t max_label = 0;
-    for (const auto& [id, l] : labels) {
-      const int64_t i = view->IndexOf(id);
-      if (i >= 0) lab[i] = l;
-      max_label = std::max(max_label, l);
-    }
-    std::vector<double> internal2(max_label + 1, 0.0);
-    std::vector<double> deg_sum(max_label + 1, 0.0);
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t lu = lab[i];
-      for (const int64_t v : view->Out(i)) {
-        // A self-loop contributes 2 to its endpoint's degree and 2 to the
-        // community-internal sum (A_uu = 2 in the undirected adjacency
-        // convention); the span lists it once.
-        const double w = v == i ? 2.0 : 1.0;
-        deg_sum[lu] += w;
-        if (lab[v] == lu) internal2[lu] += w;
-      }
-    }
-    double q = 0.0;
-    for (int64_t c = 0; c <= max_label; ++c) {
-      q += internal2[c] / m2 - (deg_sum[c] / m2) * (deg_sum[c] / m2);
-    }
-    return q;
-  }
-
-  FlatHashMap<NodeId, int64_t> label_of;
-  int64_t max_label = 0;
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const int64_t n = view->NumNodes();
+  // Caller labels are arbitrary int64 values, so they are renumbered
+  // densely (by first occurrence in index order) before sizing the
+  // per-community sums; Q does not depend on label values. A node absent
+  // from `labels` counts as label 0.
+  std::vector<int64_t> lab(n, 0);
   for (const auto& [id, l] : labels) {
-    label_of.Insert(id, l);
-    max_label = std::max(max_label, l);
+    const int64_t i = view->IndexOf(id);
+    if (i >= 0) lab[i] = l;
+  }
+  FlatHashMap<int64_t, int64_t> dense;
+  for (int64_t i = 0; i < n; ++i) {
+    lab[i] = *dense.Insert(lab[i], dense.size()).first;
   }
   // Q = sum_c [ in_c / 2m - (deg_c / 2m)^2 ].
-  std::vector<double> internal2(max_label + 1, 0.0);  // 2 * internal edges.
-  std::vector<double> deg_sum(max_label + 1, 0.0);
-  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeData& nd) {
-    const int64_t lu = *label_of.Find(u);
-    for (NodeId v : nd.nbrs) {
-      const double w = v == u ? 2.0 : 1.0;  // Self-loop counts twice.
+  std::vector<double> internal2(dense.size(), 0.0);  // 2 * internal edges.
+  std::vector<double> deg_sum(dense.size(), 0.0);
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t lu = lab[i];
+    for (const int64_t v : view->Out(i)) {
+      // A self-loop contributes 2 to its endpoint's degree and 2 to the
+      // community-internal sum (A_uu = 2 in the undirected adjacency
+      // convention); the span lists it once.
+      const double w = v == i ? 2.0 : 1.0;
       deg_sum[lu] += w;
-      if (*label_of.Find(v) == lu) internal2[lu] += w;
+      if (lab[v] == lu) internal2[lu] += w;
     }
-  });
+  }
   double q = 0.0;
-  for (int64_t c = 0; c <= max_label; ++c) {
+  for (size_t c = 0; c < deg_sum.size(); ++c) {
     q += internal2[c] / m2 - (deg_sum[c] / m2) * (deg_sum[c] / m2);
   }
   return q;

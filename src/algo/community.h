@@ -1,9 +1,8 @@
 // Community detection: asynchronous label propagation plus Newman
-// modularity scoring of any partition. Both read AlgoView CSR spans by
-// default; csr::SetEnabled(false) selects the legacy hash-adjacency
-// oracle. Modularity counts a self-loop as 2 in both its endpoint's degree
-// and the community-internal sum (A_uu = 2), matching Louvain's
-// aggregation convention.
+// modularity scoring of any partition. Both read AlgoView CSR runs.
+// Modularity counts a self-loop as 2 in both its endpoint's degree and the
+// community-internal sum (A_uu = 2), matching Louvain's aggregation
+// convention.
 #ifndef RINGO_ALGO_COMMUNITY_H_
 #define RINGO_ALGO_COMMUNITY_H_
 
@@ -21,7 +20,9 @@ NodeInts LabelPropagation(const UndirectedGraph& g, int max_rounds = 100,
                           uint64_t seed = 1);
 
 // Newman modularity Q of a partition (labels as produced above). Q in
-// [-0.5, 1]; higher = stronger community structure.
+// [-0.5, 1]; higher = stronger community structure. Labels may be any
+// int64 values — only which nodes share a label matters — and a node
+// missing from `labels` counts as label 0.
 double Modularity(const UndirectedGraph& g, const NodeInts& labels);
 
 }  // namespace ringo

@@ -1,6 +1,9 @@
 #include "algo/compact_csr.h"
 
+#include <atomic>
 #include <bit>
+#include <cstdlib>
+#include <cstring>
 
 #include "util/parallel.h"
 
@@ -8,6 +11,15 @@ namespace ringo {
 namespace compactcsr {
 
 namespace {
+
+bool EnvDefault() {
+  const char* v = std::getenv("RINGO_COMPACT_CSR");
+  if (v == nullptr) return false;
+  return std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0 ||
+         std::strcmp(v, "true") == 0;
+}
+
+std::atomic<bool> g_enabled{EnvDefault()};
 
 inline int VarintLen(uint64_t v) {
   // ceil(bit_width/7); bit_width(0) == 0, but zero still takes one byte.
@@ -34,6 +46,9 @@ int64_t RunBytes(const int64_t* nbrs, int64_t deg) {
 }
 
 }  // namespace
+
+bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
+void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 CompressedDir Compress(const std::vector<int64_t>& offsets,
                        const std::vector<int64_t>& nbrs) {

@@ -1,7 +1,6 @@
 // HITS (Kleinberg's hubs & authorities), one of the centrality measures the
-// §4.1 demo offers for expert finding. Runs on AlgoView CSR spans by
-// default; csr::SetEnabled(false) selects the legacy hash-adjacency oracle
-// (identical arithmetic, bit-identical at any thread count).
+// §4.1 demo offers for expert finding. Runs on AlgoView CSR runs and is
+// bit-identical at any thread count.
 #ifndef RINGO_ALGO_HITS_H_
 #define RINGO_ALGO_HITS_H_
 

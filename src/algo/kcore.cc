@@ -4,8 +4,6 @@
 #include <atomic>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
-#include "algo/node_index.h"
 #include "util/parallel.h"
 #include "util/trace.h"
 
@@ -13,69 +11,14 @@ namespace ringo {
 
 namespace {
 
-// Legacy oracle: sequential Batagelj–Zaveršnik bucket peeling over a dense
-// adjacency copied out of the hash table. Kept behind csr::SetEnabled(false)
-// as the reference for the parity suite.
-std::vector<int64_t> LegacyCoreNumbers(const UndirectedGraph& g,
-                                       const NodeIndex& ni) {
-  const int64_t n = ni.size();
-  std::vector<std::vector<int64_t>> adj(n);
-  std::vector<int64_t> deg(n);
-  int64_t max_deg = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const auto& nbrs = g.GetNode(ni.IdOf(i))->nbrs;
-    adj[i].reserve(nbrs.size());
-    for (NodeId v : nbrs) adj[i].push_back(ni.IndexOf(v));
-    deg[i] = static_cast<int64_t>(adj[i].size());
-    max_deg = std::max(max_deg, deg[i]);
-  }
-
-  // Bucket sort nodes by degree.
-  std::vector<int64_t> bucket_start(max_deg + 2, 0);
-  for (int64_t i = 0; i < n; ++i) ++bucket_start[deg[i] + 1];
-  for (int64_t d = 0; d <= max_deg; ++d) bucket_start[d + 1] += bucket_start[d];
-  std::vector<int64_t> order(n), pos(n);
-  {
-    std::vector<int64_t> cursor(bucket_start.begin(), bucket_start.end() - 1);
-    for (int64_t i = 0; i < n; ++i) {
-      pos[i] = cursor[deg[i]]++;
-      order[pos[i]] = i;
-    }
-  }
-
-  std::vector<int64_t> core(deg);
-  for (int64_t idx = 0; idx < n; ++idx) {
-    const int64_t u = order[idx];
-    core[u] = deg[u];
-    for (int64_t v : adj[u]) {
-      if (deg[v] > deg[u]) {
-        // Move v one bucket down: swap it with the first node of its
-        // current bucket, then shrink the bucket boundary.
-        const int64_t dv = deg[v];
-        const int64_t pv = pos[v];
-        const int64_t pw = bucket_start[dv];
-        const int64_t w = order[pw];
-        if (v != w) {
-          std::swap(order[pv], order[pw]);
-          pos[v] = pw;
-          pos[w] = pv;
-        }
-        ++bucket_start[dv];
-        --deg[v];
-      }
-    }
-  }
-  return core;
-}
-
-// CSR path: level-synchronous parallel peeling (ParK-style). For each k we
-// claim every live node whose residual degree dropped to <= k (CAS on the
-// claim flag keeps the claim unique), assign it core k, and decrement its
+// Level-synchronous parallel peeling (ParK-style). For each k we claim
+// every live node whose residual degree dropped to <= k (CAS on the claim
+// flag keeps the claim unique), assign it core k, and decrement its
 // neighbors' residual degrees with fetch_sub. Core numbers are a property
 // of the graph, so the output is identical at every thread count even
 // though frontier order is not. A self-loop contributes 1 to the degree and
-// is never decremented — the same convention as the legacy oracle.
-std::vector<int64_t> CsrCoreNumbers(const AlgoView& view) {
+// is never decremented (its node is already claimed when it is visited).
+std::vector<int64_t> PeelCoreNumbers(const AlgoView& view) {
   const int64_t n = view.NumNodes();
   std::vector<std::atomic<int64_t>> deg(n);
   std::vector<std::atomic<bool>> claimed(n);
@@ -157,47 +100,26 @@ NodeInts CoreNumbers(const UndirectedGraph& g) {
   trace::Span span("Algo/CoreNumbers");
   span.AddAttr("nodes", n);
   span.AddAttr("edges", g.NumEdges());
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    return view->node_index().Zip(CsrCoreNumbers(*view));
-  }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  return ni.Zip(LegacyCoreNumbers(g, ni));
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(PeelCoreNumbers(*view));
 }
 
 UndirectedGraph KCoreSubgraph(const UndirectedGraph& g, int64_t k) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const std::vector<int64_t> core = CsrCoreNumbers(*view);
-    const int64_t n = view->NumNodes();
-    UndirectedGraph out;
-    for (int64_t i = 0; i < n; ++i) {
-      if (core[i] >= k) out.AddNode(view->IdOf(i));
-    }
-    // Undirected spans list each edge in both endpoints' rows and a
-    // self-loop once, so emitting j >= i yields each kept edge exactly once.
-    for (int64_t i = 0; i < n; ++i) {
-      if (core[i] < k) continue;
-      for (const int64_t j : view->Out(i)) {
-        if (j >= i && core[j] >= k) out.AddEdge(view->IdOf(i), view->IdOf(j));
-      }
-    }
-    return out;
-  }
-  const NodeInts cores = CoreNumbers(g);
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const std::vector<int64_t> core = PeelCoreNumbers(*view);
+  const int64_t n = view->NumNodes();
   UndirectedGraph out;
-  FlatHashSet<NodeId> keep;
-  keep.Reserve(static_cast<int64_t>(cores.size()));
-  for (const auto& [id, c] : cores) {
-    if (c >= k) {
-      keep.Insert(id);
-      out.AddNode(id);
+  for (int64_t i = 0; i < n; ++i) {
+    if (core[i] >= k) out.AddNode(view->IdOf(i));
+  }
+  // Undirected spans list each edge in both endpoints' rows and a self-loop
+  // once, so emitting j >= i yields each kept edge exactly once.
+  for (int64_t i = 0; i < n; ++i) {
+    if (core[i] < k) continue;
+    for (const int64_t j : view->Out(i)) {
+      if (j >= i && core[j] >= k) out.AddEdge(view->IdOf(i), view->IdOf(j));
     }
   }
-  g.ForEachEdge([&](NodeId u, NodeId v) {
-    if (keep.Contains(u) && keep.Contains(v)) out.AddEdge(u, v);
-  });
   return out;
 }
 

@@ -2,10 +2,8 @@
 // the maximal subgraph in which every node has degree >= k; the core number
 // of a node is the largest k for which it is in the k-core.
 //
-// Default path: level-synchronous parallel peeling over AlgoView CSR spans
-// (core numbers are a graph property, so the output is identical at every
-// thread count). csr::SetEnabled(false) selects the sequential
-// Batagelj–Zaveršnik oracle used by the parity suite.
+// Level-synchronous parallel peeling over AlgoView CSR runs (core numbers
+// are a graph property, so the output is identical at every thread count).
 #ifndef RINGO_ALGO_KCORE_H_
 #define RINGO_ALGO_KCORE_H_
 
@@ -14,9 +12,11 @@
 
 namespace ringo {
 
-// Core number of every node, (id, core), ascending by id. Linear-time
-// peeling (Batagelj–Zaveršnik bucket algorithm). Self-loops contribute 1 to
-// the degree.
+// Core number of every node, (id, core), ascending by id. Peels one core
+// level k at a time: each level rescans all n nodes for residual degree
+// <= k, then drains the peel chains that scan starts, so the cost is
+// O(n · degeneracy + m) rather than linear. Self-loops contribute 1 to the
+// degree.
 NodeInts CoreNumbers(const UndirectedGraph& g);
 
 // The k-core subgraph: iteratively peels nodes of degree < k. Equivalent to

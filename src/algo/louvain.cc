@@ -5,7 +5,6 @@
 
 #include "algo/algo_view.h"
 #include "algo/community.h"
-#include "algo/csr_switch.h"
 #include "algo/node_index.h"
 #include "graph/graph_defs.h"
 #include "storage/flat_hash_map.h"
@@ -148,17 +147,15 @@ LevelGraph Aggregate(const LevelGraph& lg, std::vector<int64_t>* comm) {
   return out;
 }
 
-// Level-0 graph with unit weights, built either from CSR spans (dense
-// indices, no per-edge hash probe) or from the hash-of-vectors adjacency
-// (legacy oracle). Both emit neighbors in ascending dense order, so every
-// later level is identical between the two paths.
-template <typename NbrsFn>
-void BuildLevel0(int64_t n, NbrsFn&& nbrs_of, LevelGraph* lg) {
+// Level-0 graph with unit weights, built from the pinned snapshot's
+// ascending neighbor runs (dense indices, no per-edge hash probe).
+void BuildLevel0(const AlgoView& view, LevelGraph* lg) {
+  const int64_t n = view.NumNodes();
   lg->adj.resize(n);
   lg->self_weight.assign(n, 0);
   lg->k.assign(n, 0);
   for (int64_t i = 0; i < n; ++i) {
-    for (const int64_t j : nbrs_of(i)) {
+    for (const int64_t j : view.Out(i)) {
       if (j == i) {
         lg->adj[i].push_back({i, 1.0});
         lg->self_weight[i] += 1.0;
@@ -183,31 +180,14 @@ Result<LouvainResult> Louvain(const UndirectedGraph& g,
   const int64_t n = g.NumNodes();
   LouvainResult result;
   if (n == 0) return result;
-  const bool use_csr = csr::Enabled();
   trace::Span span("Algo/Louvain");
   span.AddAttr("nodes", n);
   span.AddAttr("edges", g.NumEdges());
-  span.AddAttr("csr", static_cast<int64_t>(use_csr ? 1 : 0));
 
-  std::shared_ptr<const AlgoView> view;  // Pinned while ni is in use.
-  NodeIndex legacy_ni;
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const NodeIndex& ni = view->node_index();  // Pinned by `view`.
   LevelGraph lg;
-  if (use_csr) {
-    view = AlgoView::Of(g);
-    BuildLevel0(n, [&](int64_t i) { return view->Out(i); }, &lg);
-  } else {
-    legacy_ni = NodeIndex::FromGraph(g);
-    std::vector<std::vector<int64_t>> adj(n);
-    for (int64_t i = 0; i < n; ++i) {
-      for (NodeId v : g.GetNode(legacy_ni.IdOf(i))->nbrs) {
-        adj[i].push_back(legacy_ni.IndexOf(v));
-      }
-    }
-    BuildLevel0(
-        n, [&](int64_t i) -> const std::vector<int64_t>& { return adj[i]; },
-        &lg);
-  }
-  const NodeIndex& ni = use_csr ? view->node_index() : legacy_ni;
+  BuildLevel0(*view, &lg);
 
   // node → current community through all levels.
   std::vector<int64_t> node_comm(n);

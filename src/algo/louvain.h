@@ -3,9 +3,8 @@
 // stops improving, then aggregation into a community super-graph, repeated.
 // Stronger (and costlier) than label propagation; both are offered, as a
 // system with "over 200 graph functions" would. The level-0 working graph
-// is built from AlgoView CSR spans by default (csr::SetEnabled(false) =
-// legacy hash-adjacency build); all later levels are identical between the
-// two paths, so communities and modularity match exactly for a given seed.
+// is built from AlgoView CSR runs; communities and modularity are a
+// function of the graph and the seed.
 #ifndef RINGO_ALGO_LOUVAIN_H_
 #define RINGO_ALGO_LOUVAIN_H_
 

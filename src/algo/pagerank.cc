@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
 #include "algo/node_index.h"
 #include "util/cancel.h"
 #include "util/parallel.h"
@@ -23,24 +22,25 @@ Status ValidateConfig(const PageRankConfig& c) {
   return Status::OK();
 }
 
-// The shared SpMV-style pull iteration: next = (1-d)·t + d·(Aᵀ D⁻¹ pr + s·t)
-// where s is the rank mass parked on dangling nodes. `for_each_in(i, fn)`
-// visits i's in-neighbors (dense indices) ascending; both the legacy and
-// the CSR path feed this same kernel, so their arithmetic — including the
-// blocked, thread-count-invariant reductions — is identical instruction for
-// instruction. The visitor form (rather than a span) lets the compressed
-// CSR layout fuse its varint decode into the accumulation loop with no
-// scratch buffer. Iteration stops early when the L1 delta drops below tol
-// (delta-based convergence).
-template <typename InSpanFn>
-std::vector<double> PowerIterateKernel(int64_t n, InSpanFn&& for_each_in,
-                                       const std::vector<double>& inv_out_deg,
-                                       const PageRankConfig& config,
-                                       const std::vector<double>& teleport,
-                                       bool parallel, trace::Span& span,
-                                       const std::vector<double>* init =
-                                           nullptr,
-                                       int* iters_out = nullptr) {
+// The SpMV-style pull iteration: next = (1-d)·t + d·(Aᵀ D⁻¹ pr + s·t)
+// where s is the rank mass parked on dangling nodes. The in-neighbor runs
+// come straight from the pinned snapshot, visited ascending; the only
+// per-call allocation is the inverse out-degree vector. The visitor form
+// (rather than a span) lets the compressed CSR layout fuse its varint
+// decode into the accumulation loop with no scratch buffer. Iteration
+// stops early when the L1 delta drops below tol (delta-based convergence).
+std::vector<double> DenseScores(const AlgoView& view,
+                                const PageRankConfig& config,
+                                const std::vector<double>& teleport,
+                                bool parallel, trace::Span& span,
+                                const std::vector<double>* init = nullptr,
+                                int* iters_out = nullptr) {
+  const int64_t n = view.NumNodes();
+  std::vector<double> inv_out_deg(n);
+  ParallelFor(0, n, [&](int64_t i) {
+    const int64_t od = view.OutDegree(i);
+    inv_out_deg[i] = od > 0 ? 1.0 / static_cast<double>(od) : 0.0;
+  });
   const double d = config.damping;
   // A warm start seeds from a previous sum-to-1 score vector; each pull
   // iteration preserves total mass, so the invariant holds either way.
@@ -63,7 +63,7 @@ std::vector<double> PowerIterateKernel(int64_t n, InSpanFn&& for_each_in,
 
     auto pull = [&](int64_t i) {
       double acc = 0.0;
-      for_each_in(i, [&](int64_t u) { acc += pr[u] * inv_out_deg[u]; });
+      view.ForEachIn(i, [&](int64_t u) { acc += pr[u] * inv_out_deg[u]; });
       next[i] = (1.0 - d) * teleport[i] + d * (acc + dangling * teleport[i]);
     };
     if (parallel) {
@@ -82,60 +82,8 @@ std::vector<double> PowerIterateKernel(int64_t n, InSpanFn&& for_each_in,
   return pr;  // Dense scores; caller zips with ids.
 }
 
-// Legacy oracle: materializes a per-call in-CSR from the hash-of-vectors
-// adjacency (one hash probe per edge during the build), then runs the
-// shared kernel. Kept behind csr::SetEnabled(false) for the parity suite.
-std::vector<double> LegacyDenseScores(const DirectedGraph& g,
-                                      const NodeIndex& ni,
-                                      const PageRankConfig& config,
-                                      const std::vector<double>& teleport,
-                                      bool parallel, trace::Span& span) {
-  const int64_t n = ni.size();
-  std::vector<int64_t> in_offsets(n + 1, 0);
-  std::vector<double> inv_out_deg(n, 0.0);
-  std::vector<const DirectedGraph::NodeData*> node_ptr(n);
-  for (int64_t i = 0; i < n; ++i) {
-    node_ptr[i] = g.GetNode(ni.IdOf(i));
-    in_offsets[i + 1] = static_cast<int64_t>(node_ptr[i]->in.size());
-    const int64_t od = static_cast<int64_t>(node_ptr[i]->out.size());
-    inv_out_deg[i] = od > 0 ? 1.0 / static_cast<double>(od) : 0.0;
-  }
-  for (int64_t i = 0; i < n; ++i) in_offsets[i + 1] += in_offsets[i];
-  std::vector<int64_t> in_nbrs(in_offsets[n]);
-  ParallelFor(0, n, [&](int64_t i) {
-    int64_t o = in_offsets[i];
-    for (NodeId u : node_ptr[i]->in) in_nbrs[o++] = ni.IndexOf(u);
-  });
-  auto for_each_in = [&](int64_t i, auto&& fn) {
-    for (int64_t o = in_offsets[i]; o < in_offsets[i + 1]; ++o) {
-      fn(in_nbrs[o]);
-    }
-  };
-  return PowerIterateKernel(n, for_each_in, inv_out_deg, config, teleport,
-                            parallel, span);
-}
-
-// CSR path: the in-spans come straight from the pinned snapshot; the only
-// per-call allocation is the inverse out-degree vector.
-std::vector<double> CsrDenseScores(const AlgoView& view,
-                                   const PageRankConfig& config,
-                                   const std::vector<double>& teleport,
-                                   bool parallel, trace::Span& span,
-                                   const std::vector<double>* init = nullptr,
-                                   int* iters_out = nullptr) {
-  const int64_t n = view.NumNodes();
-  std::vector<double> inv_out_deg(n);
-  ParallelFor(0, n, [&](int64_t i) {
-    const int64_t od = view.OutDegree(i);
-    inv_out_deg[i] = od > 0 ? 1.0 / static_cast<double>(od) : 0.0;
-  });
-  auto for_each_in = [&](int64_t i, auto&& fn) { view.ForEachIn(i, fn); };
-  return PowerIterateKernel(n, for_each_in, inv_out_deg, config, teleport,
-                            parallel, span, init, iters_out);
-}
-
-// Shared driver: builds the teleport vector (uniform, or concentrated on
-// `seeds`), dispatches on the CSR kill switch, and zips ids back on.
+// Shared driver: pins the snapshot, builds the teleport vector (uniform,
+// or concentrated on `seeds`), and zips ids back on.
 Result<NodeValues> RunPageRank(const DirectedGraph& g,
                                const PageRankConfig& config,
                                const std::vector<NodeId>* seeds,
@@ -146,37 +94,25 @@ Result<NodeValues> RunPageRank(const DirectedGraph& g,
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
   span.AddAttr("parallel", static_cast<int64_t>(parallel ? 1 : 0));
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
 
-  auto teleport_for = [&](const NodeIndex& ni) -> Result<std::vector<double>> {
-    const int64_t n = ni.size();
-    std::vector<double> teleport(n, 0.0);
-    if (seeds == nullptr) {
-      const double u = 1.0 / static_cast<double>(n);
-      for (int64_t i = 0; i < n; ++i) teleport[i] = u;
-      return teleport;
-    }
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const int64_t n = view->NumNodes();
+  std::vector<double> teleport(n, 0.0);
+  if (seeds == nullptr) {
+    const double u = 1.0 / static_cast<double>(n);
+    for (int64_t i = 0; i < n; ++i) teleport[i] = u;
+  } else {
     for (NodeId s : *seeds) {
-      const int64_t i = ni.IndexOf(s);
+      const int64_t i = view->IndexOf(s);
       if (i < 0) {
         return Status::NotFound("seed node " + std::to_string(s) +
                                 " is not in the graph");
       }
       teleport[i] += 1.0 / static_cast<double>(seeds->size());
     }
-    return teleport;
-  };
-
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    RINGO_ASSIGN_OR_RETURN(std::vector<double> teleport,
-                           teleport_for(view->node_index()));
-    return view->node_index().Zip(
-        CsrDenseScores(*view, config, teleport, parallel, span));
   }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  RINGO_ASSIGN_OR_RETURN(std::vector<double> teleport, teleport_for(ni));
-  return ni.Zip(LegacyDenseScores(g, ni, config, teleport, parallel, span));
+  return view->node_index().Zip(
+      DenseScores(*view, config, teleport, parallel, span));
 }
 
 }  // namespace
@@ -196,7 +132,7 @@ Result<std::vector<double>> PageRankScoresOnView(const AlgoView& view,
   span.AddAttr("nodes", n);
   span.AddAttr("parallel", static_cast<int64_t>(parallel ? 1 : 0));
   const std::vector<double> teleport(n, 1.0 / static_cast<double>(n));
-  return CsrDenseScores(view, config, teleport, parallel, span);
+  return DenseScores(view, config, teleport, parallel, span);
 }
 
 Result<NodeValues> ParallelPageRank(const DirectedGraph& g,
@@ -235,7 +171,7 @@ Result<NodeValues> ParallelPageRankWarm(const DirectedGraph& g,
   std::vector<double> teleport(n, 1.0 / static_cast<double>(n));
   int iters = 0;
   std::vector<double> scores =
-      CsrDenseScores(*view, config, teleport, /*parallel=*/true, span,
+      DenseScores(*view, config, teleport, /*parallel=*/true, span,
                      warm ? &state->scores : nullptr, &iters);
   RINGO_COUNTER_ADD("pagerank/warm_starts", warm ? 1 : 0);
   RINGO_COUNTER_ADD("pagerank/cold_starts", warm ? 0 : 1);

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
-#include "algo/node_index.h"
 #include "util/parallel.h"
 #include "util/trace.h"
 
@@ -27,30 +25,28 @@ struct ForwardAdjacency {
   std::vector<int64_t> offsets;  // n + 1 entries.
   std::vector<int64_t> nbrs;
 
-  // Legacy oracle: hash probe per edge to translate neighbor ids. The hash
-  // adjacency is sorted by id and dense indices ascend with id, so the
-  // translated runs come out ascending too.
-  explicit ForwardAdjacency(const UndirectedGraph& g) {
-    const NodeIndex ni = NodeIndex::FromGraph(g);
-    const int64_t n = ni.size();
-    std::vector<int64_t> deg(n);
-    std::vector<const UndirectedGraph::NodeData*> node_ptr(n);
-    for (int64_t i = 0; i < n; ++i) {
-      node_ptr[i] = g.GetNode(ni.IdOf(i));
-      deg[i] = static_cast<int64_t>(node_ptr[i]->nbrs.size());
-    }
-    Build(deg, [&](int64_t i, auto&& fn) {
-      for (NodeId vid : node_ptr[i]->nbrs) fn(ni.IndexOf(vid));
-    });
-  }
-
-  // CSR path: neighbor runs are already ascending dense indices, so the
-  // filtered copy needs no translation.
+  // Count → ExclusivePrefixSum → fill. Neighbor runs are already
+  // ascending dense indices, so the filtered copy needs no translation.
   explicit ForwardAdjacency(const AlgoView& view) {
     const int64_t n = view.NumNodes();
     std::vector<int64_t> deg(n);
     ParallelFor(0, n, [&](int64_t i) { deg[i] = view.OutDegree(i); });
-    Build(deg, [&](int64_t i, auto&& fn) { view.ForEachOut(i, fn); });
+    auto forward = [&](int64_t i, int64_t j) {
+      return deg[i] != deg[j] ? deg[i] < deg[j] : i < j;
+    };
+    offsets.assign(n + 1, 0);
+    ParallelForDynamic(0, n, [&](int64_t i) {
+      int64_t c = 0;
+      view.ForEachOut(i, [&](int64_t j) { c += forward(i, j) ? 1 : 0; });
+      offsets[i] = c;
+    });
+    nbrs.resize(ExclusivePrefixSum(offsets));
+    ParallelForDynamic(0, n, [&](int64_t i) {
+      int64_t* out = nbrs.data() + offsets[i];
+      view.ForEachOut(i, [&](int64_t j) {
+        if (forward(i, j)) *out++ = j;
+      });
+    });
   }
 
   int64_t NumNodes() const {
@@ -59,30 +55,6 @@ struct ForwardAdjacency {
   std::span<const int64_t> Fwd(int64_t i) const {
     return {nbrs.data() + offsets[i],
             static_cast<size_t>(offsets[i + 1] - offsets[i])};
-  }
-
- private:
-  // Count → ExclusivePrefixSum → fill. `deg` is every node's full degree;
-  // for_each_nbr(i, fn) calls fn(j) for each neighbor j of i, ascending.
-  template <typename ForEachNbr>
-  void Build(const std::vector<int64_t>& deg, ForEachNbr&& for_each_nbr) {
-    const int64_t n = static_cast<int64_t>(deg.size());
-    auto forward = [&](int64_t i, int64_t j) {
-      return deg[i] != deg[j] ? deg[i] < deg[j] : i < j;
-    };
-    offsets.assign(n + 1, 0);
-    ParallelForDynamic(0, n, [&](int64_t i) {
-      int64_t c = 0;
-      for_each_nbr(i, [&](int64_t j) { c += forward(i, j) ? 1 : 0; });
-      offsets[i] = c;
-    });
-    nbrs.resize(ExclusivePrefixSum(offsets));
-    ParallelForDynamic(0, n, [&](int64_t i) {
-      int64_t* out = nbrs.data() + offsets[i];
-      for_each_nbr(i, [&](int64_t j) {
-        if (forward(i, j)) *out++ = j;
-      });
-    });
   }
 };
 
@@ -134,12 +106,10 @@ int64_t CountTriangles(const UndirectedGraph& g, bool parallel,
   trace::Span span(span_name);
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-  const std::shared_ptr<const AlgoView> view =
-      csr::Enabled() ? AlgoView::Of(g) : nullptr;
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
   const ForwardAdjacency fa = [&] {
     trace::Span orient(orient_name);
-    ForwardAdjacency f = view ? ForwardAdjacency(*view) : ForwardAdjacency(g);
+    ForwardAdjacency f(*view);
     orient.AddAttr("forward_arcs", static_cast<int64_t>(f.nbrs.size()));
     return f;
   }();
@@ -152,19 +122,8 @@ int64_t CountTriangles(const UndirectedGraph& g, bool parallel,
   return t;
 }
 
-// Neighbors of u excluding self-loops, as sorted NodeId vector (legacy).
-std::vector<NodeId> CleanNeighbors(const UndirectedGraph::NodeData& nd,
-                                   NodeId u) {
-  std::vector<NodeId> out;
-  out.reserve(nd.nbrs.size());
-  for (NodeId v : nd.nbrs) {
-    if (v != u) out.push_back(v);
-  }
-  return out;
-}
-
-// |(a \ {skip_a}) ∩ (b \ {skip_b})| over ascending spans — the CSR
-// merge-intersection, skipping each endpoint's own self-loop entry inline
+// |(a \ {skip_a}) ∩ (b \ {skip_b})| over ascending spans — a
+// merge-intersection skipping each endpoint's own self-loop entry inline
 // instead of materializing cleaned copies.
 int64_t IntersectSkip(std::span<const int64_t> a, int64_t skip_a,
                       std::span<const int64_t> b, int64_t skip_b) {
@@ -188,8 +147,8 @@ int64_t IntersectSkip(std::span<const int64_t> a, int64_t skip_a,
   return count;
 }
 
-// Per-node triangle participation over CSR spans.
-std::vector<int64_t> CsrNodeTriangles(const AlgoView& view) {
+// Per-node triangle participation over the snapshot's neighbor runs.
+std::vector<int64_t> CountNodeTriangles(const AlgoView& view) {
   const int64_t n = view.NumNodes();
   std::vector<int64_t> tri(n, 0);
   ParallelForDynamic(0, n, [&](int64_t i) {
@@ -232,64 +191,21 @@ int64_t ParallelTriangleCount(const UndirectedGraph& g) {
 }
 
 NodeInts NodeTriangles(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    return view->node_index().Zip(CsrNodeTriangles(*view));
-  }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  const int64_t n = ni.size();
-  std::vector<int64_t> tri(n, 0);
-  ParallelForDynamic(0, n, [&](int64_t i) {
-    const NodeId u = ni.IdOf(i);
-    const std::vector<NodeId> nu = CleanNeighbors(*g.GetNode(u), u);
-    int64_t twice = 0;
-    for (NodeId v : nu) {
-      const std::vector<NodeId> nv = CleanNeighbors(*g.GetNode(v), v);
-      size_t a = 0, b = 0;
-      while (a < nu.size() && b < nv.size()) {
-        if (nu[a] < nv[b]) {
-          ++a;
-        } else if (nu[a] > nv[b]) {
-          ++b;
-        } else {
-          ++twice;
-          ++a;
-          ++b;
-        }
-      }
-    }
-    tri[i] = twice / 2;
-  });
-  return ni.Zip(tri);
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(CountNodeTriangles(*view));
 }
 
 NodeValues LocalClusteringCoefficients(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const std::vector<int64_t> tri = CsrNodeTriangles(*view);
-    const int64_t n = view->NumNodes();
-    std::vector<double> cc(n);
-    ParallelFor(0, n, [&](int64_t i) {
-      const int64_t deg = CleanDegree(*view, i);
-      const double pairs = static_cast<double>(deg) * (deg - 1) / 2.0;
-      cc[i] = pairs > 0 ? static_cast<double>(tri[i]) / pairs : 0.0;
-    });
-    return view->node_index().Zip(cc);
-  }
-  const NodeInts tri = NodeTriangles(g);
-  NodeValues out(tri.size());
-  ParallelFor(0, static_cast<int64_t>(tri.size()), [&](int64_t i) {
-    const auto [id, t] = tri[i];
-    // Degree excluding self-loops.
-    const UndirectedGraph::NodeData* nd = g.GetNode(id);
-    int64_t deg = 0;
-    for (NodeId v : nd->nbrs) {
-      if (v != id) ++deg;
-    }
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const std::vector<int64_t> tri = CountNodeTriangles(*view);
+  const int64_t n = view->NumNodes();
+  std::vector<double> cc(n);
+  ParallelFor(0, n, [&](int64_t i) {
+    const int64_t deg = CleanDegree(*view, i);
     const double pairs = static_cast<double>(deg) * (deg - 1) / 2.0;
-    out[i] = {id, pairs > 0 ? static_cast<double>(t) / pairs : 0.0};
+    cc[i] = pairs > 0 ? static_cast<double>(tri[i]) / pairs : 0.0;
   });
-  return out;
+  return view->node_index().Zip(cc);
 }
 
 double AverageClusteringCoefficient(const UndirectedGraph& g) {
@@ -301,31 +217,15 @@ double AverageClusteringCoefficient(const UndirectedGraph& g) {
 }
 
 double GlobalClusteringCoefficient(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    // Closed wedges = 3 * #triangles: each triangle closes one wedge at
-    // each of its vertices.
-    const int64_t triangles3 =
-        3 * CountWithForward(ForwardAdjacency(*view), /*parallel=*/true);
-    const int64_t n = view->NumNodes();
-    const int64_t wedges = DeterministicBlockSum(0, n, [&](int64_t i) {
-      const int64_t deg = CleanDegree(*view, i);
-      return deg * (deg - 1) / 2;
-    });
-    return wedges > 0 ? static_cast<double>(triangles3) /
-                            static_cast<double>(wedges)
-                      : 0.0;
-  }
-  const NodeInts tri = NodeTriangles(g);
-  int64_t triangles3 = 0;
-  for (const auto& [id, t] : tri) triangles3 += t;
-  int64_t wedges = 0;
-  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeData& nd) {
-    int64_t deg = 0;
-    for (NodeId v : nd.nbrs) {
-      if (v != u) ++deg;
-    }
-    wedges += deg * (deg - 1) / 2;
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  // Closed wedges = 3 * #triangles: each triangle closes one wedge at each
+  // of its vertices.
+  const int64_t triangles3 =
+      3 * CountWithForward(ForwardAdjacency(*view), /*parallel=*/true);
+  const int64_t n = view->NumNodes();
+  const int64_t wedges = DeterministicBlockSum(0, n, [&](int64_t i) {
+    const int64_t deg = CleanDegree(*view, i);
+    return deg * (deg - 1) / 2;
   });
   return wedges > 0 ? static_cast<double>(triangles3) /
                           static_cast<double>(wedges)

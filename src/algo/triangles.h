@@ -5,9 +5,7 @@
 // triangle is found once, from its lowest-order vertex. The per-node
 // participation counts merge-intersect sorted adjacency runs — exactly what
 // the sorted-adjacency graph representation (§2.2) is good at. Both run
-// over AlgoView CSR spans by default (self-loops never close a triangle);
-// csr::SetEnabled(false) selects the legacy hash-adjacency oracle used by
-// the parity suite.
+// over AlgoView CSR runs (self-loops never close a triangle).
 #ifndef RINGO_ALGO_TRIANGLES_H_
 #define RINGO_ALGO_TRIANGLES_H_
 

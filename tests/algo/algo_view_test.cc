@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "algo/compact_csr.h"
 #include "algo/node_index.h"
 #include "gen/graph_gen.h"
 #include "test_support.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace ringo {
 namespace {
@@ -47,45 +50,101 @@ TEST(NodeIndexTest, EmptyIds) {
   EXPECT_EQ(ni.IndexOf(0), -1);
 }
 
+// Node ids spread over ~10^13 values, far past NodeIndex's dense-universe
+// bound (a span of at most 4n + 16), so the view's id lookup takes the
+// hash fallback. Random edges, self-loops included.
+template <typename Graph>
+Graph SparseIdGraph(uint64_t seed) {
+  Graph g;
+  std::vector<NodeId> ids;
+  for (int64_t i = 0; i < 60; ++i) {
+    ids.push_back(-5'000'000'000'000 + i * 170'000'000'003);
+  }
+  for (const NodeId id : ids) g.AddNode(id);
+  Rng rng(seed);
+  for (int k = 0; k < 240; ++k) {
+    g.AddEdge(ids[rng.UniformInt(0, 59)], ids[rng.UniformInt(0, 59)]);
+  }
+  return g;
+}
+
+// The ids of a run of dense indices.
+std::vector<NodeId> RunIds(const AlgoView& view, const NbrSpan& run) {
+  std::vector<NodeId> ids;
+  for (const int64_t j : run) ids.push_back(view.IdOf(j));
+  return ids;
+}
+
+// Every node maps to its ascending-id index and back.
+void ExpectNodeIndexMatches(const AlgoView& view,
+                            const std::vector<NodeId>& sorted_ids) {
+  ASSERT_EQ(view.NumNodes(), static_cast<int64_t>(sorted_ids.size()));
+  for (int64_t i = 0; i < view.NumNodes(); ++i) {
+    ASSERT_EQ(view.IdOf(i), sorted_ids[i]);
+    ASSERT_EQ(view.IndexOf(sorted_ids[i]), i);
+  }
+}
+
+// Directed: Out(i) and In(i) list exactly the hash adjacency's out- and
+// in-neighbors, id for id, in the same ascending order, on the plain and
+// the compressed layout.
 TEST(AlgoViewTest, DirectedViewMatchesAdjacency) {
-  const DirectedGraph g = testing::RandomDirected(200, 900, 3, true);
-  const std::shared_ptr<const AlgoView> view = AlgoView::Build(g);
-  ASSERT_EQ(view->NumNodes(), g.NumNodes());
-  EXPECT_EQ(view->NumOutArcs(), g.NumEdges());
-  EXPECT_EQ(view->NumInArcs(), g.NumEdges());
-  EXPECT_TRUE(view->directed());
-  for (int64_t i = 0; i < view->NumNodes(); ++i) {
-    const NodeId id = view->IdOf(i);
-    const DirectedGraph::NodeData* nd = g.GetNode(id);
-    ASSERT_NE(nd, nullptr);
-    const auto out = view->Out(i);
-    ASSERT_EQ(out.size(), nd->out.size());
-    for (size_t k = 0; k < out.size(); ++k) {
-      EXPECT_EQ(view->IdOf(out[k]), nd->out[k]);  // Same ascending order.
-    }
-    const auto in = view->In(i);
-    ASSERT_EQ(in.size(), nd->in.size());
-    for (size_t k = 0; k < in.size(); ++k) {
-      EXPECT_EQ(view->IdOf(in[k]), nd->in[k]);
+  std::vector<testing::GraphFamily<DirectedGraph>> fams =
+      testing::DirectedFamilies();
+  fams.push_back({"sparse_ids", SparseIdGraph<DirectedGraph>(3)});
+  for (const bool compact : {false, true}) {
+    compactcsr::ScopedEnable layout(compact);
+    for (const auto& fam : fams) {
+      SCOPED_TRACE(fam.name + (compact ? " compact" : " plain"));
+      const std::shared_ptr<const AlgoView> view = AlgoView::Build(fam.g);
+      EXPECT_TRUE(view->directed());
+      EXPECT_EQ(view->compressed(), compact);
+      EXPECT_EQ(view->NumOutArcs(), fam.g.NumEdges());
+      EXPECT_EQ(view->NumInArcs(), fam.g.NumEdges());
+      ExpectNodeIndexMatches(*view, fam.g.SortedNodeIds());
+      for (int64_t i = 0; i < view->NumNodes(); ++i) {
+        const DirectedGraph::NodeData* nd = fam.g.GetNode(view->IdOf(i));
+        ASSERT_NE(nd, nullptr);
+        EXPECT_EQ(RunIds(*view, view->Out(i)), nd->out) << view->IdOf(i);
+        EXPECT_EQ(RunIds(*view, view->In(i)), nd->in) << view->IdOf(i);
+        EXPECT_EQ(view->OutDegree(i), static_cast<int64_t>(nd->out.size()));
+        EXPECT_EQ(view->InDegree(i), static_cast<int64_t>(nd->in.size()));
+      }
     }
   }
 }
 
+// Undirected: one stored neighbor array serves Out and In, and every run
+// lists exactly the hash adjacency's neighbors (a self-loop once), id for
+// id, on the plain and the compressed layout.
 TEST(AlgoViewTest, UndirectedViewSharesNeighborArray) {
-  const UndirectedGraph g = testing::RandomUndirected(150, 500, 5);
-  const std::shared_ptr<const AlgoView> view = AlgoView::Build(g);
-  EXPECT_FALSE(view->directed());
-  for (int64_t i = 0; i < view->NumNodes(); ++i) {
-    const auto out = view->Out(i);
-    const auto in = view->In(i);
-    // One stored array: pointer-identical runs on the plain layout. On a
-    // compressed base each call decodes into its own scratch buffer, so
-    // only content equality holds there.
-    if (!view->compressed()) ASSERT_EQ(out.data(), in.data());
-    ASSERT_EQ(out.size(), in.size());
-    ASSERT_TRUE(std::equal(out.begin(), out.end(), in.begin()));
-    const NodeId id = view->IdOf(i);
-    ASSERT_EQ(static_cast<int64_t>(out.size()), g.Degree(id));
+  std::vector<testing::GraphFamily<UndirectedGraph>> fams =
+      testing::UndirectedFamilies();
+  fams.push_back({"sparse_ids", SparseIdGraph<UndirectedGraph>(5)});
+  for (const bool compact : {false, true}) {
+    compactcsr::ScopedEnable layout(compact);
+    for (const auto& fam : fams) {
+      SCOPED_TRACE(fam.name + (compact ? " compact" : " plain"));
+      const std::shared_ptr<const AlgoView> view = AlgoView::Build(fam.g);
+      EXPECT_FALSE(view->directed());
+      EXPECT_EQ(view->compressed(), compact);
+      ExpectNodeIndexMatches(*view, fam.g.SortedNodeIds());
+      for (int64_t i = 0; i < view->NumNodes(); ++i) {
+        const NbrSpan out = view->Out(i);
+        const NbrSpan in = view->In(i);
+        // Pointer-identical runs on the plain layout. On a compressed base
+        // each call decodes into its own scratch buffer, so only content
+        // equality holds there.
+        if (!compact) {
+          ASSERT_EQ(out.data(), in.data());
+        }
+        const UndirectedGraph::NodeData* nd = fam.g.GetNode(view->IdOf(i));
+        ASSERT_NE(nd, nullptr);
+        EXPECT_EQ(RunIds(*view, out), nd->nbrs) << view->IdOf(i);
+        EXPECT_EQ(RunIds(*view, in), nd->nbrs) << view->IdOf(i);
+        EXPECT_EQ(view->OutDegree(i), fam.g.Degree(view->IdOf(i)));
+      }
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/graph_gen.h"
 #include "test_support.h"
 
@@ -181,6 +183,22 @@ TEST(ApproxClosenessTest, FullSampleEqualsExact) {
   const auto approx = ApproxClosenessCentrality(g, g.NumNodes(), 1);
   for (const auto& [id, v] : approx) {
     EXPECT_NEAR(v, *exact.Find(id), 1e-9) << "node " << id;
+  }
+}
+
+// Regression: `samples` is clamped to [1, n]. Zero used to scale
+// betweenness by n/0 (NaN for every node), and a negative count reached
+// std::vector::resize and aborted with std::length_error.
+TEST(ApproxCentralityTest, NonPositiveSamplesUseOnePivot) {
+  const UndirectedGraph g = testing::RandomUndirected(40, 120, 17);
+  const NodeValues bc_one = ApproxBetweennessCentrality(g, 1, 3);
+  const NodeValues cc_one = ApproxClosenessCentrality(g, 1, 3);
+  for (const int64_t samples : {int64_t{0}, int64_t{-5}}) {
+    const NodeValues bc = ApproxBetweennessCentrality(g, samples, 3);
+    EXPECT_EQ(bc, bc_one) << "samples=" << samples;
+    for (const auto& [id, v] : bc) EXPECT_TRUE(std::isfinite(v)) << id;
+    EXPECT_EQ(ApproxClosenessCentrality(g, samples, 3), cc_one)
+        << "samples=" << samples;
   }
 }
 

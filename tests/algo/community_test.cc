@@ -78,6 +78,20 @@ TEST(ModularityTest, LabelPropagationBeatsSingletons) {
   EXPECT_GT(Modularity(g, lp), Modularity(g, singletons));
 }
 
+// Regression: labels are renumbered densely before they size any array, so
+// a negative label no longer writes before the per-community sums and a
+// label of 2^40 no longer allocates 2^40 of them; Q depends only on which
+// nodes share a label.
+TEST(ModularityTest, LabelValuesDoNotMatter) {
+  const UndirectedGraph g = gen::Complete(6);
+  NodeInts plain, extreme;
+  for (NodeId v = 0; v < 6; ++v) {
+    plain.emplace_back(v, v < 3 ? 0 : 1);
+    extreme.emplace_back(v, v < 3 ? -3 : int64_t{1} << 40);
+  }
+  EXPECT_EQ(Modularity(g, extreme), Modularity(g, plain));
+}
+
 TEST(ModularityTest, EmptyGraphIsZero) {
   UndirectedGraph g;
   EXPECT_DOUBLE_EQ(Modularity(g, {}), 0.0);

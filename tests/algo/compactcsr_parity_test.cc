@@ -16,7 +16,7 @@
 
 #include "algo/algo_view.h"
 #include "algo/bfs.h"
-#include "algo/compactcsr_switch.h"
+#include "algo/compact_csr.h"
 #include "algo/connectivity.h"
 #include "algo/kcore.h"
 #include "algo/pagerank.h"

@@ -15,7 +15,6 @@
 #include "algo/algo_view.h"
 #include "algo/bfs.h"
 #include "algo/connectivity.h"
-#include "algo/deltacsr_switch.h"
 #include "algo/pagerank.h"
 #include "algo/triangles.h"
 #include "stress/stress_support.h"

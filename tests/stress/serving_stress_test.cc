@@ -27,7 +27,6 @@
 
 #include "algo/algo_view.h"
 #include "algo/bfs_engine.h"
-#include "algo/deltacsr_switch.h"
 #include "algo/pagerank.h"
 #include "serve/engine.h"
 #include "serve/session.h"
