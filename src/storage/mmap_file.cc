@@ -23,6 +23,12 @@ Result<std::shared_ptr<const MmapFile>> MmapFile::Open(
     ::close(fd);
     return Status::IOError("fstat failed for '" + path + "': " + err);
   }
+  // Directories, FIFOs and devices have no mappable byte length (a FIFO
+  // would map as empty); only regular files are table files.
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("'" + path + "' is not a regular file");
+  }
   const size_t size = static_cast<size_t>(st.st_size);
   const uint8_t* data = nullptr;
   if (size > 0) {

@@ -1,7 +1,8 @@
 // Read-only memory-mapped file handle. The .rtb loader maps the whole
 // table file and hands encoded columns zero-copy views into it; the
 // mapping stays alive as long as any column still borrows from it
-// (shared_ptr ownership, DESIGN.md §14).
+// (shared_ptr ownership, DESIGN.md §14). The TSV loader maps its input and
+// parses it in place.
 #ifndef RINGO_STORAGE_MMAP_FILE_H_
 #define RINGO_STORAGE_MMAP_FILE_H_
 
@@ -17,7 +18,8 @@ namespace ringo {
 class MmapFile {
  public:
   // Maps `path` read-only (PROT_READ, MAP_PRIVATE). Empty files map to a
-  // null span with size 0.
+  // null span with size 0. Anything that is not a regular file (a
+  // directory, FIFO or device) is an IOError.
   static Result<std::shared_ptr<const MmapFile>> Open(const std::string& path);
 
   ~MmapFile();

@@ -14,7 +14,7 @@ StringPool::StringPool() {
   slots_.assign(64, kInvalidId);
 }
 
-uint64_t StringPool::HashBytes(std::string_view s) {
+uint64_t StringPool::Hash(std::string_view s) {
   // FNV-1a, finalized with the SplitMix64 mixer for probe dispersion.
   uint64_t h = 0xCBF29CE484222325ULL;
   for (char c : s) {
@@ -45,16 +45,15 @@ void StringPool::RehashLocked(int64_t new_cap) {
     if (id == kInvalidId) continue;
     const std::string_view s(buf_.data() + offsets_[id],
                              offsets_[id + 1] - offsets_[id]);
-    int64_t i = static_cast<int64_t>(HashBytes(s)) & mask;
+    int64_t i = static_cast<int64_t>(Hash(s)) & mask;
     while (fresh[i] != kInvalidId) i = (i + 1) & mask;
     fresh[i] = id;
   }
   slots_ = std::move(fresh);
 }
 
-StringPool::Id StringPool::GetOrAdd(std::string_view s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t hash = HashBytes(s);
+StringPool::Id StringPool::GetOrAddLocked(std::string_view s,
+                                          uint64_t hash) {
   Id id = FindLocked(s, hash);
   if (id != kInvalidId) return id;
 
@@ -70,8 +69,34 @@ StringPool::Id StringPool::GetOrAdd(std::string_view s) {
   int64_t i = static_cast<int64_t>(hash) & mask;
   while (slots_[i] != kInvalidId) i = (i + 1) & mask;
   slots_[i] = id;
-  version_.fetch_add(1, std::memory_order_release);
   return id;
+}
+
+StringPool::Id StringPool::GetOrAdd(std::string_view s) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t before = size();
+  const Id id = GetOrAddLocked(s, Hash(s));
+  if (size() != before) version_.fetch_add(1, std::memory_order_release);
+  return id;
+}
+
+void StringPool::InternBatch(std::span<const std::string_view> strs,
+                             std::span<const uint64_t> hashes,
+                             std::span<Id> ids) {
+  RINGO_CHECK(hashes.size() == strs.size() && ids.size() == strs.size())
+      << "InternBatch spans differ in length";
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t before = size();
+  // Size the slot table for the whole batch being new: one rehash up
+  // front instead of a doubling cascade that rehashes every string again.
+  const int64_t want = before + static_cast<int64_t>(strs.size()) + 1;
+  int64_t cap = static_cast<int64_t>(slots_.size());
+  while (want * 10 > cap * 7) cap *= 2;
+  if (cap != static_cast<int64_t>(slots_.size())) RehashLocked(cap);
+  for (size_t i = 0; i < strs.size(); ++i) {
+    ids[i] = GetOrAddLocked(strs[i], hashes[i]);
+  }
+  if (size() != before) version_.fetch_add(1, std::memory_order_release);
 }
 
 std::shared_ptr<const std::vector<uint32_t>> StringPool::ByteOrderRanks()
@@ -106,7 +131,7 @@ std::shared_ptr<const std::vector<uint32_t>> StringPool::ByteOrderRanks()
 
 StringPool::Id StringPool::Find(std::string_view s) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindLocked(s, HashBytes(s));
+  return FindLocked(s, Hash(s));
 }
 
 std::string_view StringPool::Get(Id id) const {

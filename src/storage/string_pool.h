@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,18 @@ class StringPool {
   // Returns the id of `s`, interning it first if unseen. Thread-safe.
   Id GetOrAdd(std::string_view s);
 
+  // Batch form of GetOrAdd for bulk loaders: ids[i] receives the id of
+  // strs[i], interned in index order, so the ids are exactly those of
+  // calling GetOrAdd on each string in turn. hashes[i] must be
+  // Hash(strs[i]); the batch takes the lock once and hashes nothing.
+  // Thread-safe.
+  void InternBatch(std::span<const std::string_view> strs,
+                   std::span<const uint64_t> hashes, std::span<Id> ids);
+
+  // The hash the pool probes with (FNV-1a, finalized with SplitMix64), for
+  // callers that precompute InternBatch's hashes.
+  static uint64_t Hash(std::string_view s);
+
   // Returns the id of `s`, or kInvalidId if it has never been interned.
   // Thread-safe against concurrent GetOrAdd.
   Id Find(std::string_view s) const;
@@ -37,8 +50,9 @@ class StringPool {
   // Number of distinct interned strings.
   int64_t size() const { return static_cast<int64_t>(offsets_.size()) - 1; }
 
-  // Monotonic version counter: bumped exactly when GetOrAdd interns a new
-  // string (lookups of known strings leave it unchanged). Thread-safe.
+  // Monotonic version counter: bumped by every GetOrAdd or InternBatch call
+  // that interns a new string (lookups of known strings leave it
+  // unchanged). Thread-safe.
   uint64_t Version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -59,8 +73,8 @@ class StringPool {
 
  private:
   Id FindLocked(std::string_view s, uint64_t hash) const;
+  Id GetOrAddLocked(std::string_view s, uint64_t hash);
   void RehashLocked(int64_t new_cap);
-  static uint64_t HashBytes(std::string_view s);
 
   std::vector<char> buf_;
   std::vector<int64_t> offsets_;  // size() + 1 entries; id i spans

@@ -1,11 +1,13 @@
 #include "table/table_io.h"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 
@@ -20,60 +22,184 @@ namespace ringo {
 
 namespace {
 
-// Splits `text` into line views, skipping comments/blank lines. When
-// `has_header`, the header is the first non-blank line — even a
-// '#'-prefixed one (the common "# col1<TAB>col2" TSV export format) — and
-// is consumed before comment-skipping applies. Skipping comments first
-// used to silently promote the first data row to header and drop it.
-std::vector<std::string_view> DataLines(std::string_view text,
-                                        bool has_header) {
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  bool header_pending = has_header;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (header_pending) {
-      header_pending = false;  // Consumed, commented or not.
-      continue;
-    }
-    if (line.front() == '#') continue;
-    lines.push_back(line);
-  }
-  return lines;
+// --------------------------------------------------------------------------
+// TSV ingest (DESIGN.md §15). The mapped text after the header is cut into
+// newline-aligned chunks; one parallel pass counts each chunk's lines and
+// data rows, a prefix sum gives every chunk its first line number and row,
+// and a second pass parses each chunk in place straight into its row range
+// of the pre-sized columns. Strings get chunk-local ids from one dictionary
+// per chunk; the dictionaries are interned into the pool in file order and
+// the local ids remapped, so pool ids follow row-major first occurrence at
+// every thread count.
+
+constexpr int64_t kChunksPerThread = 4;
+
+// One physical line: [begin, end) without its '\n' and one trailing '\r';
+// `next` is where the following line starts.
+struct Line {
+  const char* begin;
+  const char* end;
+  const char* next;
+};
+
+Line NextLine(const char* p, const char* stop) {
+  const char* nl = static_cast<const char*>(std::memchr(p, '\n', stop - p));
+  Line l{p, nl != nullptr ? nl : stop, nl != nullptr ? nl + 1 : stop};
+  if (l.end != l.begin && l.end[-1] == '\r') --l.end;
+  return l;
 }
 
-Status ParseLine(const Schema& schema, std::string_view line, int64_t lineno,
-                 StringPool* pool, std::vector<Column>* cols) {
-  const std::vector<std::string_view> fields = SplitFields(line, '\t');
+// Blank lines and '#' comments carry no row.
+bool IsDataLine(const Line& l) { return l.end != l.begin && *l.begin != '#'; }
+
+// Chunk-local string dictionary, shared by every string column of a chunk.
+// Local ids are dense in first-occurrence order; each entry keeps a view
+// into the mapping and its StringPool::Hash, so the pool merge
+// (InternBatch) hashes nothing again.
+class ChunkDict {
+ public:
+  StringPool::Id Intern(std::string_view s) {
+    const uint64_t h = StringPool::Hash(s);
+    size_t mask = slots_.size() - 1;
+    size_t i = h & mask;
+    for (; slots_[i] != StringPool::kInvalidId; i = (i + 1) & mask) {
+      const StringPool::Id id = slots_[i];
+      if (hashes_[id] == h && strs_[id] == s) return id;
+    }
+    RINGO_CHECK_LT(strs_.size(), size_t{INT32_MAX})
+        << "TSV chunk holds more than 2^31 distinct strings";
+    const auto id = static_cast<StringPool::Id>(strs_.size());
+    strs_.push_back(s);
+    hashes_.push_back(h);
+    slots_[i] = id;
+    if (strs_.size() * 10 > slots_.size() * 7) Grow();
+    return id;
+  }
+
+  std::span<const std::string_view> strs() const { return strs_; }
+  std::span<const uint64_t> hashes() const { return hashes_; }
+
+ private:
+  void Grow() {
+    std::vector<StringPool::Id> fresh(slots_.size() * 2,
+                                      StringPool::kInvalidId);
+    const size_t mask = fresh.size() - 1;
+    for (size_t id = 0; id < strs_.size(); ++id) {
+      size_t i = hashes_[id] & mask;
+      while (fresh[i] != StringPool::kInvalidId) i = (i + 1) & mask;
+      fresh[i] = static_cast<StringPool::Id>(id);
+    }
+    slots_ = std::move(fresh);
+  }
+
+  std::vector<std::string_view> strs_;
+  std::vector<uint64_t> hashes_;
+  std::vector<StringPool::Id> slots_ =
+      std::vector<StringPool::Id>(64, StringPool::kInvalidId);
+};
+
+// A newline-aligned slice of the text and everything the passes learn
+// about it.
+struct TsvChunk {
+  const char* begin = nullptr;
+  const char* end = nullptr;
+  int64_t lines = 0;       // Physical lines.
+  int64_t rows = 0;        // Data lines.
+  int64_t first_line = 0;  // 1-based file line number of the first line.
+  int64_t first_row = 0;   // Table row of the first data line.
+  ChunkDict dict;
+  int64_t dict_base = 0;  // Where the dictionary starts in the intern batch.
+  Status status;          // The chunk's first parse error.
+};
+
+// Where one column's parsed cells go: the pre-sized column's raw storage.
+struct ColumnSink {
+  ColumnType type;
+  int64_t* ints = nullptr;
+  double* floats = nullptr;
+  StringPool::Id* strs = nullptr;
+};
+
+// Builds the error for a line ParseRow rejected at field `c`. An arity
+// error outranks a bad field on the same line, as if the line had been
+// split before any field was parsed.
+Status RowError(const Schema& schema, const Line& l, int64_t lineno, int c) {
+  const std::vector<std::string_view> fields =
+      SplitFields(std::string_view(l.begin, l.end - l.begin), '\t');
   if (static_cast<int>(fields.size()) != schema.num_columns()) {
     return Status::InvalidArgument(
         "line " + std::to_string(lineno) + ": expected " +
         std::to_string(schema.num_columns()) + " fields, got " +
         std::to_string(fields.size()));
   }
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    switch (schema.column(c).type) {
+  const std::string_view f = fields[c];
+  const Status st = schema.column(c).type == ColumnType::kInt
+                        ? ParseInt64(f).status()
+                        : ParseDouble(f).status();
+  return Status::InvalidArgument("line " + std::to_string(lineno) +
+                                 ", column '" + schema.column(c).name +
+                                 "': " + st.message());
+}
+
+// Parses one data line into `row` of the sinks. Fields are cut in place;
+// numbers follow ParseInt64 / ParseDouble (the whole field must parse).
+// Returns -1, or the index of the first field that failed (a missing or
+// extra field fails at the column where the tab count goes wrong).
+int ParseRow(std::span<const ColumnSink> sinks, const Line& l, int64_t row,
+             ChunkDict* dict) {
+  const char* p = l.begin;
+  const int ncols = static_cast<int>(sinks.size());
+  for (int c = 0; c < ncols; ++c) {
+    const char* tab =
+        static_cast<const char*>(std::memchr(p, '\t', l.end - p));
+    if ((tab == nullptr) != (c + 1 == ncols)) return c;
+    const char* fe = tab != nullptr ? tab : l.end;
+    const ColumnSink& s = sinks[c];
+    switch (s.type) {
       case ColumnType::kInt: {
-        RINGO_ASSIGN_OR_RETURN(const int64_t v, ParseInt64(fields[c]));
-        (*cols)[c].AppendInt(v);
+        const auto [ptr, ec] = std::from_chars(p, fe, s.ints[row]);
+        if (ec != std::errc() || ptr != fe || p == fe) return c;
         break;
       }
       case ColumnType::kFloat: {
-        RINGO_ASSIGN_OR_RETURN(const double v, ParseDouble(fields[c]));
-        (*cols)[c].AppendFloat(v);
+        const auto [ptr, ec] = std::from_chars(p, fe, s.floats[row]);
+        if (ec != std::errc() || ptr != fe || p == fe) return c;
         break;
       }
       case ColumnType::kString:
-        (*cols)[c].AppendStr(pool->GetOrAdd(fields[c]));
+        s.strs[row] = dict->Intern(std::string_view(p, fe - p));
         break;
     }
+    p = fe + 1;
   }
-  return Status::OK();
+  return -1;
+}
+
+// Pass 1: physical lines and data rows of one chunk.
+void CountChunk(TsvChunk* ck) {
+  for (const char* p = ck->begin; p != ck->end;) {
+    const Line l = NextLine(p, ck->end);
+    ++ck->lines;
+    ck->rows += IsDataLine(l);
+    p = l.next;
+  }
+}
+
+// Pass 2: parses a chunk into its row range, stopping at its first error.
+void ParseChunk(const Schema& schema, std::span<const ColumnSink> sinks,
+                TsvChunk* ck) {
+  int64_t lineno = ck->first_line;
+  int64_t row = ck->first_row;
+  for (const char* p = ck->begin; p != ck->end; ++lineno) {
+    const Line l = NextLine(p, ck->end);
+    p = l.next;
+    if (!IsDataLine(l)) continue;
+    const int bad = ParseRow(sinks, l, row++, &ck->dict);
+    if (bad >= 0) {
+      ck->status = RowError(schema, l, lineno, bad);
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -81,54 +207,109 @@ Status ParseLine(const Schema& schema, std::string_view line, int64_t lineno,
 Result<TablePtr> LoadTableTSV(const Schema& schema, const std::string& path,
                               std::shared_ptr<StringPool> pool,
                               bool has_header) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
+  trace::Span span("Table/LoadTableTSV");
+  RINGO_ASSIGN_OR_RETURN(std::shared_ptr<const MmapFile> map,
+                         MmapFile::Open(path));
+  const char* const text = reinterpret_cast<const char*>(map->data());
+  const char* const stop = text + map->size();
+
+  std::vector<TsvChunk> chunks;
+  {
+    trace::Span scan("Table/LoadTableTSV/scan");
+    // The header is the first non-blank line, '#'-prefixed or not (the
+    // "# col1<TAB>col2" export format), so a data row is never taken for
+    // it. Blank lines before it still count as file lines.
+    const char* body = text;
+    int64_t header_lines = 0;
+    while (has_header && body != stop) {
+      const Line l = NextLine(body, stop);
+      ++header_lines;
+      body = l.next;
+      if (l.end != l.begin) break;
+    }
+    // Nominal cut points, each moved forward to the next line start; a
+    // line longer than a chunk leaves the chunks it spans empty.
+    const int64_t nchunks =
+        std::min<int64_t>(kChunksPerThread * NumThreads(), stop - body);
+    chunks.resize(nchunks);
+    for (int64_t k = 0; k < nchunks; ++k) {
+      const char* cut = body + (stop - body) * k / nchunks;
+      if (k > 0) {
+        cut = std::max(cut, chunks[k - 1].begin);
+        if (cut[-1] != '\n') cut = NextLine(cut, stop).next;
+        chunks[k - 1].end = cut;
+      }
+      chunks[k].begin = cut;
+    }
+    if (nchunks > 0) chunks.back().end = stop;
+    ParallelFor(0, nchunks, [&](int64_t k) { CountChunk(&chunks[k]); });
+    int64_t line = header_lines + 1;
+    int64_t row = 0;
+    for (TsvChunk& ck : chunks) {
+      ck.first_line = line;
+      ck.first_row = row;
+      line += ck.lines;
+      row += ck.rows;
+    }
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::vector<std::string_view> lines = DataLines(text, has_header);
-  const int64_t n = static_cast<int64_t>(lines.size());
+  const int64_t n =
+      chunks.empty() ? 0 : chunks.back().first_row + chunks.back().rows;
 
   TablePtr table = Table::Create(schema, std::move(pool));
-  StringPool* out_pool = table->pool().get();
-
-  // Chunk-parallel parse into per-thread column fragments.
-  const int threads = NumThreads();
-  const std::vector<int64_t> bounds = PartitionRange(n, threads);
-  std::vector<std::vector<Column>> frag(threads);
-  std::vector<Status> frag_status(threads);
-#pragma omp parallel num_threads(threads)
+  std::vector<ColumnSink> sinks;
+  std::vector<StringPool::Id*> str_cols;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    Column& col = table->mutable_column(c);
+    col.Resize(n);
+    ColumnSink s{schema.column(c).type};
+    switch (s.type) {
+      case ColumnType::kInt: s.ints = col.ints().data(); break;
+      case ColumnType::kFloat: s.floats = col.floats().data(); break;
+      case ColumnType::kString:
+        s.strs = col.strs().data();
+        str_cols.push_back(s.strs);
+        break;
+    }
+    sinks.push_back(s);
+  }
   {
-    const int t = omp_get_thread_num();
-    if (t < threads) {
-      std::vector<Column>& cols = frag[t];
-      for (int c = 0; c < schema.num_columns(); ++c) {
-        cols.emplace_back(schema.column(c).type);
-        cols.back().Reserve(bounds[t + 1] - bounds[t]);
-      }
-      for (int64_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-        Status st = ParseLine(schema, lines[i], i + 1, out_pool, &cols);
-        if (!st.ok()) {
-          frag_status[t] = std::move(st);
-          break;
+    trace::Span parse("Table/LoadTableTSV/parse");
+    ParallelFor(0, static_cast<int64_t>(chunks.size()), [&](int64_t k) {
+      ParseChunk(schema, sinks, &chunks[k]);
+    });
+    // Chunks are in file order and each stops at its own first error, so
+    // the first failing chunk holds the file's first error.
+    for (const TsvChunk& ck : chunks) RINGO_RETURN_NOT_OK(ck.status);
+  }
+  if (!str_cols.empty()) {
+    trace::Span intern("Table/LoadTableTSV/intern");
+    // The dictionaries back to back in file order, interned as one batch:
+    // one lock, one table resize, and ids in row-major first occurrence.
+    std::vector<std::string_view> strs;
+    std::vector<uint64_t> hashes;
+    for (TsvChunk& ck : chunks) {
+      ck.dict_base = static_cast<int64_t>(strs.size());
+      strs.insert(strs.end(), ck.dict.strs().begin(), ck.dict.strs().end());
+      hashes.insert(hashes.end(), ck.dict.hashes().begin(),
+                    ck.dict.hashes().end());
+    }
+    std::vector<StringPool::Id> pool_ids(strs.size());
+    table->pool()->InternBatch(strs, hashes, pool_ids);
+    ParallelFor(0, static_cast<int64_t>(chunks.size()), [&](int64_t k) {
+      const TsvChunk& ck = chunks[k];
+      const StringPool::Id* ids = pool_ids.data() + ck.dict_base;
+      for (StringPool::Id* col : str_cols) {
+        for (int64_t r = ck.first_row; r < ck.first_row + ck.rows; ++r) {
+          col[r] = ids[col[r]];
         }
       }
-    }
-  }
-  for (const Status& st : frag_status) {
-    RINGO_RETURN_NOT_OK(st);
-  }
-  // Reserve final capacity up front so the fragment merge appends without
-  // reallocation (n is exact: every fragment row survives or we returned).
-  table->ReserveRows(n);
-  for (int t = 0; t < threads; ++t) {
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      table->mutable_column(c).AppendColumn(frag[t][c]);
-    }
+    });
   }
   RINGO_RETURN_NOT_OK(table->SealAppendedRows(n));
+  span.AddAttr("rows", n);
+  span.AddAttr("bytes", static_cast<int64_t>(map->size()));
+  RINGO_COUNTER_ADD("table_io/load_tsv", 1);
+  table->PublishMemGauges();
   return table;
 }
 
@@ -342,16 +523,52 @@ Status MalformedDir(const std::string& why) {
   return Status::Corruption("malformed .rtb directory: " + why);
 }
 
+// CRC-32 of [p, p + len): fixed 64 KB blocks checksummed in parallel and
+// joined in order, so the value is Crc32's at every thread count. The
+// row-id segment alone is most of a typical file, so one segment must
+// spread over the cores.
+uint32_t BlockParallelCrc32(const uint8_t* p, uint64_t len) {
+  constexpr uint64_t kBlock = uint64_t{64} << 10;
+  if (len <= kBlock) return Crc32(p, len);
+  const int64_t nblocks = static_cast<int64_t>((len + kBlock - 1) / kBlock);
+  std::vector<uint32_t> part(nblocks);
+  auto block_len = [&](int64_t b) {
+    return std::min(kBlock, len - b * kBlock);
+  };
+  ParallelFor(0, nblocks, [&](int64_t b) {
+    part[b] = Crc32(p + b * kBlock, block_len(b));
+  });
+  uint32_t crc = part[0];
+  for (int64_t b = 1; b < nblocks; ++b) {
+    crc = Crc32Combine(crc, part[b], block_len(b));
+  }
+  return crc;
+}
+
 // Verifies a segment lies inside the file and matches its checksum.
 Status CheckSegment(const uint8_t* base, size_t file_size, const SegRef& s,
                     const std::string& what) {
   if (s.bytes > file_size || s.offset > file_size - s.bytes) {
     return Status::Corruption("short " + what + " segment");
   }
-  if (Crc32(base + s.offset, s.bytes) != s.crc) {
+  if (BlockParallelCrc32(base + s.offset, s.bytes) != s.crc) {
     return Status::Corruption("checksum mismatch in " + what + " segment");
   }
   return Status::OK();
+}
+
+// Largest of the first n codes, as a parallel max over fixed blocks.
+uint64_t MaxCode(const EncodedColumn& ec, int64_t n) {
+  constexpr int64_t kBlock = int64_t{1} << 14;
+  const int64_t nblocks = (n + kBlock - 1) / kBlock;
+  std::vector<uint64_t> part(nblocks, 0);
+  ParallelFor(0, nblocks, [&](int64_t b) {
+    const int64_t end = std::min(n, (b + 1) * kBlock);
+    uint64_t m = 0;
+    for (int64_t i = b * kBlock; i < end; ++i) m = std::max(m, ec.Code(i));
+    part[b] = m;
+  });
+  return nblocks == 0 ? 0 : *std::max_element(part.begin(), part.end());
 }
 
 }  // namespace
@@ -681,11 +898,7 @@ Result<TablePtr> LoadTableBin(const std::string& path,
     // CRCs catch bit rot, this catches files written wrong.
     if (enc != ColumnEncoding::kForInt && e.bits > 0 &&
         static_cast<uint64_t>(e.dict_count) < (uint64_t{1} << e.bits)) {
-      uint64_t max_code = 0;
-      for (int64_t i = 0; i < nrows; ++i) {
-        max_code = std::max(max_code, ec->Code(i));
-      }
-      if (max_code >= static_cast<uint64_t>(e.dict_count)) {
+      if (MaxCode(*ec, nrows) >= static_cast<uint64_t>(e.dict_count)) {
         return Status::Corruption("column '" + e.name +
                                   "': code out of dictionary range");
       }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,36 @@ TEST(StringPoolTest, EmptyStringInternable) {
   const auto id = pool.GetOrAdd("");
   EXPECT_EQ(pool.Get(id), "");
   EXPECT_EQ(pool.GetOrAdd(""), id);
+}
+
+// InternBatch gives exactly the ids of GetOrAdd called on each string in
+// order, duplicates and already-interned strings included, and bumps the
+// version only when the batch adds a string.
+TEST(StringPoolTest, InternBatchMatchesGetOrAddInOrder) {
+  const std::vector<std::string_view> strs = {"b", "new1", "a", "new2",
+                                              "new1", "", "b"};
+  std::vector<uint64_t> hashes;
+  for (const std::string_view s : strs) hashes.push_back(StringPool::Hash(s));
+  StringPool batch;
+  StringPool single;
+  for (StringPool* p : {&batch, &single}) {
+    p->GetOrAdd("a");
+    p->GetOrAdd("b");
+  }
+  const uint64_t v0 = batch.Version();
+  std::vector<StringPool::Id> ids(strs.size());
+  batch.InternBatch(strs, hashes, ids);
+  EXPECT_GT(batch.Version(), v0);
+  for (size_t i = 0; i < strs.size(); ++i) {
+    EXPECT_EQ(ids[i], single.GetOrAdd(strs[i])) << strs[i];
+  }
+  EXPECT_EQ(batch.size(), single.size());
+
+  const uint64_t v1 = batch.Version();
+  std::vector<StringPool::Id> again(strs.size());
+  batch.InternBatch(strs, hashes, again);
+  EXPECT_EQ(again, ids);
+  EXPECT_EQ(batch.Version(), v1);  // Nothing new: no bump.
 }
 
 TEST(StringPoolTest, FindWithoutInsert) {

@@ -16,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "table/column_encoding.h"
 #include "table/table_io.h"
 #include "util/checksum.h"
+#include "util/parallel.h"
 
 namespace ringo {
 namespace {
@@ -319,6 +321,94 @@ TEST_F(TableBinIoTest, ShortColumnSegmentIsCorruption) {
   EXPECT_NE(loaded.status().message().find("short"), std::string::npos);
 }
 
+// Hand-built file holding one dictionary column (3 entries, 2-bit codes)
+// whose only bad code is in the last row, past the first blocks of the
+// parallel code-range scan. Every checksum is valid, so only that scan can
+// reject it; with the last code in range the same file loads.
+TEST_F(TableBinIoTest, CodeOutOfDictionaryRangeInLastRowIsCorruption) {
+  constexpr int64_t kRows = 40000;
+  struct Seg {
+    uint64_t offset, bytes;
+    uint32_t crc;
+  };
+  auto build = [](uint64_t last_code) {
+    std::vector<uint64_t> codes(kRows, 1);
+    codes.back() = last_code;
+    const std::vector<uint64_t> words = PackCodes(codes, 2);
+    const std::vector<int64_t> dict = {10, 20, 30};
+    std::vector<int64_t> row_ids(kRows);
+    for (int64_t i = 0; i < kRows; ++i) row_ids[i] = i;
+
+    std::string file(64, '\0');  // Header, written last.
+    auto segment = [&file](const void* p, size_t n) {
+      const Seg s{file.size(), n, Crc32(p, n)};
+      file.append(static_cast<const char*>(p), n);
+      return s;
+    };
+    const Seg data = segment(words.data(), words.size() * 8);
+    const Seg dict_seg = segment(dict.data(), dict.size() * 8);
+    const Seg rows = segment(row_ids.data(), row_ids.size() * 8);
+
+    std::string dir;
+    auto put = [&dir](auto v) {
+      dir.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    auto put_seg = [&put](const Seg& sg) {
+      put(sg.offset);
+      put(sg.bytes);
+      put(sg.crc);
+    };
+    put(uint32_t{1});
+    dir.append("a");
+    put(static_cast<uint8_t>(ColumnType::kInt));
+    put(static_cast<uint8_t>(ColumnEncoding::kDictInt));
+    put(uint8_t{2});   // bits
+    put(uint8_t{0});   // pad
+    put(int64_t{0});   // for_base
+    put(int64_t{3});   // dict_count
+    put_seg(data);
+    put_seg(dict_seg);
+    put_seg(rows);
+    const uint64_t dir_offset = file.size();
+    file.append(dir);
+
+    std::string h = "RTB1";
+    auto hput = [&h](auto v) {
+      h.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    hput(uint32_t{1});  // version
+    hput(uint32_t{1});  // ncols
+    hput(uint32_t{0});  // flags
+    hput(kRows);        // nrows
+    hput(kRows);        // next_row_id
+    hput(dir_offset);
+    hput(static_cast<uint64_t>(dir.size()));
+    hput(Crc32(dir.data(), dir.size()));
+    hput(Crc32(h.data(), 52));
+    file.replace(0, h.size(), h);
+    return file;
+  };
+
+  const std::string path = TempPath("code_range.rtb");
+  const int saved = NumThreads();
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    WriteFile(path, build(2));
+    auto good = LoadTableBin(path);
+    ASSERT_TRUE(good.ok()) << good.status();
+    EXPECT_EQ((*good)->column(0).GetInt(kRows - 1), 30);
+
+    WriteFile(path, build(3));
+    auto bad = LoadTableBin(path);
+    ASSERT_FALSE(bad.ok()) << "threads=" << threads;
+    EXPECT_TRUE(bad.status().IsCorruption()) << bad.status();
+    EXPECT_NE(bad.status().message().find("out of dictionary range"),
+              std::string::npos)
+        << bad.status();
+  }
+  SetNumThreads(saved);
+}
+
 TEST_F(TableBinIoTest, NotAnRtbFileAtAll) {
   const std::string path = TempPath("noise.rtb");
   WriteFile(path, "id\tw\ttag\n1\t2.5\tjava\nmore lines of text padding....."
@@ -332,6 +422,12 @@ TEST_F(TableBinIoTest, MissingFileIsIOError) {
   auto loaded = LoadTableBin(::testing::TempDir() + "/does_not_exist.rtb");
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
+}
+
+// A directory is not an .rtb file: the mapping refuses it up front.
+TEST_F(TableBinIoTest, DirectoryIsIOError) {
+  const Status st = LoadTableBin(::testing::TempDir()).status();
+  EXPECT_TRUE(st.IsIOError()) << st;
 }
 
 }  // namespace

@@ -4,6 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+
+#include "util/metrics.h"
+#include "util/parallel.h"
+#include "util/trace.h"
 
 namespace ringo {
 namespace {
@@ -177,6 +182,101 @@ TEST_F(TableIoTest, LargeFileParsesCompletely) {
   ASSERT_EQ((*t)->NumRows(), 20000);
   EXPECT_EQ((*t)->column(0).GetInt(19999), 19999);
   EXPECT_EQ((*t)->pool()->size(), 7);
+}
+
+// Errors name the physical file line: the header, a comment and a blank
+// line before the short row all count, so it is line 5, not data row 2.
+TEST_F(TableIoTest, ArityErrorNamesFileLine) {
+  const std::string path = TempFile("arity_line.tsv",
+                                    "a\tb\n"
+                                    "# comment\n"
+                                    "\n"
+                                    "1\t2\n"
+                                    "3\n");
+  Schema schema{{"a", ColumnType::kInt}, {"b", ColumnType::kInt}};
+  const Status st =
+      LoadTableTSV(schema, path, nullptr, /*has_header=*/true).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 5: expected 2 fields, got 1");
+}
+
+TEST_F(TableIoTest, BadNumbersNameLineAndColumn) {
+  Schema schema{{"id", ColumnType::kInt}, {"w", ColumnType::kFloat}};
+  const std::string bad_int = TempFile("bad_int.tsv", "1\t2.5\nx1\t3\n");
+  Status st = LoadTableTSV(schema, bad_int).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 2, column 'id': cannot parse integer: 'x1'");
+
+  const std::string bad_float =
+      TempFile("bad_float.tsv", "# w is a float\n1\tnan?\r\n");
+  st = LoadTableTSV(schema, bad_float).status();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 2, column 'w': cannot parse float: 'nan?'");
+}
+
+// Two bad lines far apart land in different chunks; the first in file
+// order is reported at every thread count, whichever chunk finishes first.
+TEST_F(TableIoTest, FirstBadLineWinsAcrossChunks) {
+  std::string content;
+  for (int i = 1; i <= 20000; ++i) {
+    if (i == 37) {
+      content += "37\tbad\tx\n";  // Arity error on line 37.
+    } else if (i == 19000) {
+      content += "oops\tx\n";  // Bad int on line 19000.
+    } else {
+      content += std::to_string(i) + "\tx\n";
+    }
+  }
+  const std::string path = TempFile("two_bad.tsv", content);
+  Schema schema{{"id", ColumnType::kInt}, {"s", ColumnType::kString}};
+  const int saved = NumThreads();
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    const Status st = LoadTableTSV(schema, path).status();
+    EXPECT_EQ(st.message(), "line 37: expected 2 fields, got 3")
+        << "threads=" << threads;
+  }
+  SetNumThreads(saved);
+}
+
+// Nothing is interned until every chunk has parsed, so a failed load
+// leaves a caller's pool as it was.
+TEST_F(TableIoTest, FailedLoadLeavesPoolUntouched) {
+  const std::string path =
+      TempFile("fail_pool.tsv", "1\tfresh\n2\tnew\nbad\tx\n");
+  Schema schema{{"id", ColumnType::kInt}, {"s", ColumnType::kString}};
+  auto pool = std::make_shared<StringPool>();
+  pool->GetOrAdd("kept");
+  EXPECT_FALSE(LoadTableTSV(schema, path, pool).ok());
+  EXPECT_EQ(pool->size(), 1);
+}
+
+// A directory opens but is no table file; it used to load as 0 rows.
+TEST_F(TableIoTest, DirectoryIsIOError) {
+  Schema schema{{"a", ColumnType::kInt}};
+  const Status st = LoadTableTSV(schema, ::testing::TempDir()).status();
+  EXPECT_TRUE(st.IsIOError()) << st;
+}
+
+TEST_F(TableIoTest, LoadRecordsSpanAndCounter) {
+  const std::string path =
+      TempFile("traced.tsv", "h\n1\ta\n2\tb\n# c\n3\ta\n");
+  Schema schema{{"id", ColumnType::kInt}, {"s", ColumnType::kString}};
+  const bool was_enabled = metrics::Enabled();
+  metrics::SetEnabled(true);
+  trace::Clear();
+  const int64_t loads = metrics::CounterValue("table_io/load_tsv");
+  ASSERT_TRUE(LoadTableTSV(schema, path, nullptr, /*has_header=*/true).ok());
+  EXPECT_EQ(metrics::CounterValue("table_io/load_tsv") - loads, 1);
+  const trace::QueryStats q = trace::LastRootSpan();
+  metrics::SetEnabled(was_enabled);
+  ASSERT_TRUE(q.valid);
+  EXPECT_EQ(q.name, "Table/LoadTableTSV");
+  int64_t rows = -1;
+  for (const auto& [key, value] : q.attrs) {
+    if (key == "rows") rows = value;
+  }
+  EXPECT_EQ(rows, 3);
 }
 
 }  // namespace

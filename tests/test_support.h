@@ -7,10 +7,12 @@
 #define RINGO_TESTS_TEST_SUPPORT_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -575,6 +577,91 @@ inline TablePtr MakeIntTable(const std::vector<std::string>& col_names,
     t->AppendRow(vals).Abort("MakeIntTable");
   }
   return t;
+}
+
+// What a TSV text should load to: an error (code and message) or rows of
+// cells.
+struct ReferenceTsv {
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+  std::vector<std::vector<Value>> rows;
+};
+
+// Line-by-line reference for LoadTableTSV's contract, sharing no code with
+// table_io. Lines end at '\n' and lose one trailing '\r'; with
+// `has_header` the first non-blank line is the header, '#'-prefixed or
+// not; after it, blank lines and '#' lines carry no row. Each data line is
+// split on every tab, then its fields are parsed left to right; the first
+// bad line in file order (1-based physical line N) is the error.
+inline ReferenceTsv ReferenceParseTsv(const Schema& schema,
+                                      std::string_view text,
+                                      bool has_header) {
+  ReferenceTsv out;
+  bool header_pending = has_header;
+  int64_t lineno = 0;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++lineno;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
+    if (header_pending) {
+      header_pending = false;
+      continue;
+    }
+    if (line.front() == '#') continue;
+    std::vector<std::string_view> fields;
+    size_t start = 0;
+    for (size_t i = 0; i <= line.size(); ++i) {
+      if (i == line.size() || line[i] == '\t') {
+        fields.push_back(line.substr(start, i - start));
+        start = i + 1;
+      }
+    }
+    const std::string where = "line " + std::to_string(lineno);
+    if (static_cast<int>(fields.size()) != schema.num_columns()) {
+      out.code = StatusCode::kInvalidArgument;
+      out.message = where + ": expected " +
+                    std::to_string(schema.num_columns()) + " fields, got " +
+                    std::to_string(fields.size());
+      out.rows.clear();
+      return out;
+    }
+    std::vector<Value> row;
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      const std::string_view f = fields[c];
+      const char* end = f.data() + f.size();
+      const ColumnType type = schema.column(c).type;
+      bool ok = true;
+      if (type == ColumnType::kInt) {
+        int64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(f.data(), end, v);
+        ok = !f.empty() && ec == std::errc() && ptr == end;
+        row.emplace_back(v);
+      } else if (type == ColumnType::kFloat) {
+        double v = 0;
+        const auto [ptr, ec] = std::from_chars(f.data(), end, v);
+        ok = !f.empty() && ec == std::errc() && ptr == end;
+        row.emplace_back(v);
+      } else {
+        row.emplace_back(std::string(f));
+      }
+      if (!ok) {
+        out.code = StatusCode::kInvalidArgument;
+        out.message = where + ", column '" + schema.column(c).name +
+                      "': cannot parse " +
+                      (type == ColumnType::kInt ? "integer" : "float") +
+                      ": '" + std::string(f) + "'";
+        out.rows.clear();
+        return out;
+      }
+    }
+    out.rows.push_back(std::move(row));
+  }
+  return out;
 }
 
 }  // namespace testing
