@@ -453,8 +453,8 @@ TablePtr GraphToEdgeTable(const DirectedGraph& g,
 
   Column& src = out->mutable_column(0);
   Column& dst = out->mutable_column(1);
-  src.Resize(m);
-  dst.Resize(m);
+  src.ResizeForOverwrite(m);
+  dst.ResizeForOverwrite(m);
   ParallelForDynamic(0, nn, [&](int64_t i) {
     int64_t row = offsets[i];
     const NodeId u = ids[i];
@@ -489,9 +489,9 @@ TablePtr GraphToNodeTable(const DirectedGraph& g,
   Column& c_id = out->mutable_column(0);
   Column& c_in = out->mutable_column(1);
   Column& c_out = out->mutable_column(2);
-  c_id.Resize(nn);
-  c_in.Resize(nn);
-  c_out.Resize(nn);
+  c_id.ResizeForOverwrite(nn);
+  c_in.ResizeForOverwrite(nn);
+  c_out.ResizeForOverwrite(nn);
   ParallelFor(0, nn, [&](int64_t i) {
     const DirectedGraph::NodeData* nd = g.GetNode(ids[i]);
     c_id.SetInt(i, ids[i]);

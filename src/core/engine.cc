@@ -262,8 +262,8 @@ TablePtr MapToTable(const std::vector<std::pair<NodeId, T>>& values,
   const int64_t n = static_cast<int64_t>(values.size());
   Column& c_id = out->mutable_column(0);
   Column& c_val = out->mutable_column(1);
-  c_id.Resize(n);
-  c_val.Resize(n);
+  c_id.ResizeForOverwrite(n);
+  c_val.ResizeForOverwrite(n);
   ParallelFor(0, n, [&](int64_t i) {
     c_id.SetInt(i, values[i].first);
     if constexpr (std::is_same_v<T, double>) {

@@ -38,6 +38,7 @@ DirectedGraph& DirectedGraph::operator=(const DirectedGraph& other) {
   stamp_.store(other.stamp_.load(std::memory_order_acquire),
                std::memory_order_release);
   journal_ = other.journal_;
+  cache_.Reset();
   return *this;
 }
 
@@ -52,6 +53,7 @@ DirectedGraph::DirectedGraph(DirectedGraph&& other) noexcept {
   other.num_edges_ = 0;
   other.next_node_id_ = 0;
   other.journal_.Invalidate();
+  other.cache_.Reset();
 }
 
 DirectedGraph& DirectedGraph::operator=(DirectedGraph&& other) noexcept {
@@ -69,6 +71,8 @@ DirectedGraph& DirectedGraph::operator=(DirectedGraph&& other) noexcept {
   other.num_edges_ = 0;
   other.next_node_id_ = 0;
   other.journal_.Invalidate();
+  cache_.Reset();
+  other.cache_.Reset();
   return *this;
 }
 

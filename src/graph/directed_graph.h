@@ -54,9 +54,11 @@ class DirectedGraph {
 
   // Copy/move transfer the structural state (nodes, edge count, stamp,
   // journal) but not the synchronization objects or the cached snapshot —
-  // the copy starts with a cold cache and fresh locks. The source is
-  // locked for the duration, but copying a graph that is concurrently
-  // *written* is still a logical race; copy quiescent graphs.
+  // the copy, and the target of an assignment, start with a cold cache
+  // and fresh locks. A moved-from graph is empty with a cold cache, ready
+  // for reuse. The source is locked for the duration, but copying a graph
+  // that is concurrently *written* is still a logical race; copy
+  // quiescent graphs.
   DirectedGraph(const DirectedGraph& other);
   DirectedGraph& operator=(const DirectedGraph& other);
   DirectedGraph(DirectedGraph&& other) noexcept;

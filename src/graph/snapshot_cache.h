@@ -110,6 +110,17 @@ class SnapshotCache {
     SnapshotCache* cache_;
   };
 
+  // Drops the cached snapshot, so the next Acquire builds from scratch.
+  // For graph assignment and moves: the graph's contents change wholesale
+  // while its stamp need not, and stamps are per graph — another graph's
+  // contents can carry a stamp this cache already holds. Like assignment,
+  // it requires that no build is in flight.
+  void Reset() {
+    std::lock_guard<std::mutex> lk(mu_);
+    view_.reset();
+    stamp_ = 0;
+  }
+
   // Test/introspection peek at the cached pair (consistent, may be stale).
   std::pair<std::shared_ptr<const void>, uint64_t> Peek() const {
     std::lock_guard<std::mutex> lk(mu_);

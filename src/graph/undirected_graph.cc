@@ -44,6 +44,7 @@ UndirectedGraph& UndirectedGraph::operator=(const UndirectedGraph& other) {
   stamp_.store(other.stamp_.load(std::memory_order_acquire),
                std::memory_order_release);
   journal_ = other.journal_;
+  cache_.Reset();
   return *this;
 }
 
@@ -58,6 +59,7 @@ UndirectedGraph::UndirectedGraph(UndirectedGraph&& other) noexcept {
   other.num_edges_ = 0;
   other.next_node_id_ = 0;
   other.journal_.Invalidate();
+  other.cache_.Reset();
 }
 
 UndirectedGraph& UndirectedGraph::operator=(UndirectedGraph&& other) noexcept {
@@ -75,6 +77,8 @@ UndirectedGraph& UndirectedGraph::operator=(UndirectedGraph&& other) noexcept {
   other.num_edges_ = 0;
   other.next_node_id_ = 0;
   other.journal_.Invalidate();
+  cache_.Reset();
+  other.cache_.Reset();
   return *this;
 }
 

@@ -39,7 +39,8 @@ class UndirectedGraph {
   UndirectedGraph() = default;
 
   // Same contract as DirectedGraph: structural state transfers, sync
-  // objects and the snapshot cache start fresh; copy quiescent graphs.
+  // objects and the snapshot cache start fresh (also on the target of an
+  // assignment), a moved-from graph is empty; copy quiescent graphs.
   UndirectedGraph(const UndirectedGraph& other);
   UndirectedGraph& operator=(const UndirectedGraph& other);
   UndirectedGraph(UndirectedGraph&& other) noexcept;

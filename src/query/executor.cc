@@ -53,8 +53,8 @@ TablePtr ScoresToTable(const NodeValues& values,
   const int64_t n = static_cast<int64_t>(values.size());
   Column& c_id = out->mutable_column(0);
   Column& c_val = out->mutable_column(1);
-  c_id.Resize(n);
-  c_val.Resize(n);
+  c_id.ResizeForOverwrite(n);
+  c_val.ResizeForOverwrite(n);
   for (int64_t i = 0; i < n; ++i) {
     c_id.SetInt(i, values[i].first);
     c_val.SetFloat(i, values[i].second);

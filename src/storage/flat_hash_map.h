@@ -15,6 +15,7 @@
 #ifndef RINGO_STORAGE_FLAT_HASH_MAP_H_
 #define RINGO_STORAGE_FLAT_HASH_MAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -48,6 +49,27 @@ class FlatHashMap {
     while (cap < initial_capacity) cap <<= 1;
     slots_.resize(cap);
     full_.assign(cap, 0);
+  }
+
+  FlatHashMap(const FlatHashMap&) = default;
+  FlatHashMap& operator=(const FlatHashMap&) = default;
+  // Moves leave the source empty with no slots; it stays usable (lookups
+  // miss, the first insert allocates), like a fresh map.
+  FlatHashMap(FlatHashMap&& o) noexcept
+      : slots_(std::move(o.slots_)),
+        full_(std::move(o.full_)),
+        size_(std::exchange(o.size_, 0)),
+        stats_(std::exchange(o.stats_, ProbeStats{})) {}
+  FlatHashMap& operator=(FlatHashMap&& o) noexcept {
+    if (this != &o) {
+      slots_ = std::move(o.slots_);
+      full_ = std::move(o.full_);
+      size_ = std::exchange(o.size_, 0);
+      stats_ = std::exchange(o.stats_, ProbeStats{});
+      o.slots_.clear();  // A moved-from vector is only "valid".
+      o.full_.clear();
+    }
+    return *this;
   }
 
   int64_t size() const { return size_; }
@@ -117,10 +139,12 @@ class FlatHashMap {
 
   // Returns the value pointer, or nullptr if absent.
   V* Find(const K& key) {
+    if (size_ == 0) return nullptr;
     const int64_t i = FindSlot(key);
     return full_[i] ? &slots_[i].value : nullptr;
   }
   const V* Find(const K& key) const {
+    if (size_ == 0) return nullptr;
     const int64_t i = FindSlot(key);
     return full_[i] ? &slots_[i].value : nullptr;
   }
@@ -130,6 +154,7 @@ class FlatHashMap {
   // Removes key if present; returns whether a removal happened. Uses
   // backward-shift deletion to keep probe chains compact.
   bool Erase(const K& key) {
+    if (size_ == 0) return false;
     int64_t i = FindSlotCounted(key);
     if (!full_[i]) return false;
     const int64_t mask = capacity() - 1;
@@ -245,7 +270,7 @@ class FlatHashMap {
     if ((size_ + 1) * kMaxLoadDen > capacity() * kMaxLoadNum) {
       ++stats_.grow_rehashes;
       RINGO_COUNTER_ADD("flat_hash_map/grow_rehashes", 1);
-      Rehash(capacity() * 2);
+      Rehash(std::max<int64_t>(16, capacity() * 2));
     }
   }
 

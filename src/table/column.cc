@@ -1,5 +1,6 @@
 #include "table/column.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "util/parallel.h"
@@ -40,7 +41,11 @@ Column::Column(const Column& o) : Column(o.type_) {
     enc_ = o.enc_;
     active_.store(e, std::memory_order_release);
   } else {
-    data_ = o.data_;
+    std::visit(
+        [this](const auto& src) {
+          AppendCopy(std::get<std::decay_t<decltype(src)>>(data_), src);
+        },
+        o.data_);
   }
 }
 
@@ -84,6 +89,19 @@ void Column::Reserve(int64_t n) {
 }
 
 void Column::Resize(int64_t n) {
+  const int64_t old = size();
+  ResizeForOverwrite(n);
+  std::visit(
+      [old, n](auto& v) {
+        using T = typename std::decay_t<decltype(v)>::value_type;
+        ParallelForRange(old, n, [&](int64_t lo, int64_t hi) {
+          std::fill(v.begin() + lo, v.begin() + hi, T{});
+        });
+      },
+      data_);
+}
+
+void Column::ResizeForOverwrite(int64_t n) {
   EnsureDecodedExclusive();
   std::visit([n](auto& v) { v.resize(n); }, data_);
 }
@@ -152,54 +170,40 @@ bool Column::Encode() {
 
 Column Column::Gather(const std::vector<int64_t>& idx) const {
   Column out(type_);
-  const int64_t n = static_cast<int64_t>(idx.size());
   if (const EncodedColumn* e = active()) {
     // Decode per element straight into the plain result: the (usually
     // smaller) gathered column never forces this one to materialize.
     switch (type_) {
-      case ColumnType::kInt: {
-        auto& dst = std::get<IntVec>(out.data_);
-        dst.resize(n);
-        ParallelFor(0, n, [&](int64_t i) { dst[i] = e->DecodeInt(idx[i]); });
+      case ColumnType::kInt:
+        out.data_ = internal::GatherCells<IntVec>(
+            idx, [e](int64_t r) { return e->DecodeInt(r); });
         break;
-      }
-      case ColumnType::kFloat: {
-        auto& dst = std::get<FloatVec>(out.data_);
-        dst.resize(n);
-        ParallelFor(0, n, [&](int64_t i) { dst[i] = e->DecodeFloat(idx[i]); });
+      case ColumnType::kFloat:
+        out.data_ = internal::GatherCells<FloatVec>(
+            idx, [e](int64_t r) { return e->DecodeFloat(r); });
         break;
-      }
-      case ColumnType::kString: {
-        auto& dst = std::get<StrVec>(out.data_);
-        dst.resize(n);
-        ParallelFor(0, n, [&](int64_t i) { dst[i] = e->DecodeStr(idx[i]); });
+      case ColumnType::kString:
+        out.data_ = internal::GatherCells<StrVec>(
+            idx, [e](int64_t r) { return e->DecodeStr(r); });
         break;
-      }
     }
     return out;
   }
   std::visit(
       [&](const auto& src) {
-        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
-        dst.resize(n);
-        ParallelFor(0, n, [&](int64_t i) { dst[i] = src[idx[i]]; });
+        out.data_ = internal::GatherCells<std::decay_t<decltype(src)>>(
+            idx, [&src](int64_t r) { return src[r]; });
       },
       data_);
   return out;
 }
 
 void Column::CompactKeep(const std::vector<int64_t>& keep) {
-  EnsureDecodedExclusive();
-  std::visit(
-      [&](auto& v) {
-        const int64_t n = static_cast<int64_t>(keep.size());
-        for (int64_t i = 0; i < n; ++i) {
-          RINGO_DCHECK(keep[i] >= i);
-          v[i] = v[keep[i]];
-        }
-        v.resize(n);
-      },
-      data_);
+  if (active() != nullptr) {
+    *this = Gather(keep);  // Decodes only the kept rows.
+    return;
+  }
+  std::visit([&](auto& v) { internal::CompactCells(v, keep); }, data_);
 }
 
 void Column::AppendColumn(const Column& other) {
@@ -208,8 +212,7 @@ void Column::AppendColumn(const Column& other) {
   other.EnsureDecodedShared();
   std::visit(
       [&](auto& dst) {
-        const auto& src = std::get<std::decay_t<decltype(dst)>>(other.data_);
-        dst.insert(dst.end(), src.begin(), src.end());
+        AppendCopy(dst, std::get<std::decay_t<decltype(dst)>>(other.data_));
       },
       data_);
 }

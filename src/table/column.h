@@ -11,6 +11,13 @@
 // untouched, and the memory win applies to data at rest (loaded or served
 // tables), not mid-operator.
 //
+// Storage: the plain vectors (IntVec / FloatVec / StrVec) use
+// DefaultInitAllocator (util/default_init.h), so sizing them does not
+// zero-fill. Resize(n) still zero-fills the new cells (in parallel);
+// ResizeForOverwrite(n) leaves them unspecified, for callers that write
+// every new cell right after — the loaders and operator outputs, whose
+// first touch of the memory then happens in their own parallel pass.
+//
 // Concurrency: encoded state is published through an acquire/release
 // atomic. Any number of threads may read a const column concurrently, even
 // while one of them triggers the (mutex-serialized, once-only) lazy
@@ -21,6 +28,7 @@
 #ifndef RINGO_TABLE_COLUMN_H_
 #define RINGO_TABLE_COLUMN_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -31,12 +39,18 @@
 #include "storage/string_pool.h"
 #include "table/column_encoding.h"
 #include "table/schema.h"
+#include "util/default_init.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace ringo {
 
 class Column {
  public:
+  using IntVec = DefaultInitVector<int64_t>;
+  using FloatVec = DefaultInitVector<double>;
+  using StrVec = DefaultInitVector<StringPool::Id>;
+
   explicit Column(ColumnType type);
   // Wraps an already-encoded payload (the .rtb zero-copy load path).
   Column(ColumnType type, std::shared_ptr<const EncodedColumn> enc);
@@ -49,7 +63,13 @@ class Column {
   ColumnType type() const { return type_; }
   int64_t size() const;
   void Reserve(int64_t n);
+  // Sets the row count to n; cells added beyond the old size are zero
+  // (0, 0.0, string id 0), filled in parallel.
   void Resize(int64_t n);
+  // Sets the row count to n without initializing the added cells: their
+  // values are unspecified until written. For callers that write every
+  // new cell before anything reads it.
+  void ResizeForOverwrite(int64_t n);
   void Clear();
 
   // Typed appends / accessors. Type agreement is a precondition (DCHECKed):
@@ -100,27 +120,27 @@ class Column {
   // overloads materialize the plain vector from an encoded payload first
   // (safe under concurrent const readers); non-const ones require
   // exclusive access anyway.
-  std::vector<int64_t>& ints() {
+  IntVec& ints() {
     EnsureDecodedExclusive();
     return std::get<IntVec>(data_);
   }
-  const std::vector<int64_t>& ints() const {
+  const IntVec& ints() const {
     EnsureDecodedShared();
     return std::get<IntVec>(data_);
   }
-  std::vector<double>& floats() {
+  FloatVec& floats() {
     EnsureDecodedExclusive();
     return std::get<FloatVec>(data_);
   }
-  const std::vector<double>& floats() const {
+  const FloatVec& floats() const {
     EnsureDecodedShared();
     return std::get<FloatVec>(data_);
   }
-  std::vector<StringPool::Id>& strs() {
+  StrVec& strs() {
     EnsureDecodedExclusive();
     return std::get<StrVec>(data_);
   }
-  const std::vector<StringPool::Id>& strs() const {
+  const StrVec& strs() const {
     EnsureDecodedShared();
     return std::get<StrVec>(data_);
   }
@@ -131,7 +151,10 @@ class Column {
   Column Gather(const std::vector<int64_t>& idx) const;
 
   // Keeps exactly the rows listed in `keep` (ascending), discarding the
-  // rest; in-place, O(n). Backbone of in-place Select.
+  // rest. Backbone of in-place Select: a parallel gather into fresh
+  // storage (internal::CompactCells), so the peak is this column plus the
+  // kept rows. The result is plain (an encoded column decodes only the
+  // kept rows).
   void CompactKeep(const std::vector<int64_t>& keep);
 
   // Appends all rows of `other` (same type) to this column.
@@ -155,10 +178,6 @@ class Column {
   int64_t MemoryUsageBytes() const;
 
  private:
-  using IntVec = std::vector<int64_t>;
-  using FloatVec = std::vector<double>;
-  using StrVec = std::vector<StringPool::Id>;
-
   const EncodedColumn* active() const {
     return active_.load(std::memory_order_acquire);
   }
@@ -181,6 +200,42 @@ class Column {
   mutable std::atomic<const EncodedColumn*> active_{nullptr};
 };
 
+namespace internal {
+
+// A vector of get(idx[0]), get(idx[1]), ...: sized without a zero fill,
+// then written in parallel ranges.
+template <typename Vec, typename Get>
+Vec GatherCells(const std::vector<int64_t>& idx, const Get& get) {
+  const int64_t n = static_cast<int64_t>(idx.size());
+  Vec out(n);
+  ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) out[i] = get(idx[i]);
+  });
+  return out;
+}
+
+// Makes v[keep[0]], v[keep[1]], ... (keep ascending) the contents of `v`
+// by a parallel gather into fresh storage. Keeping at least half the
+// cells, the fresh storage replaces the old, which is freed. Keeping
+// fewer, the kept cells are copied back into the old storage, which keeps
+// its capacity (as a shrinking resize would): freeing it would hand its
+// pages back to the OS inside the select, at a cost per discarded page
+// that outweighs a copy of the few kept cells.
+template <typename Vec>
+void CompactCells(Vec& v, const std::vector<int64_t>& keep) {
+  const int64_t k = static_cast<int64_t>(keep.size());
+  Vec kept = GatherCells<Vec>(keep, [&v](int64_t r) { return v[r]; });
+  if (2 * k >= static_cast<int64_t>(v.size())) {
+    v.swap(kept);
+    return;
+  }
+  ParallelForRange(0, k, [&](int64_t lo, int64_t hi) {
+    std::copy(kept.begin() + lo, kept.begin() + hi, v.begin() + lo);
+  });
+  v.resize(k);
+}
+
+}  // namespace internal
 }  // namespace ringo
 
 #endif  // RINGO_TABLE_COLUMN_H_

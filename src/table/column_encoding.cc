@@ -68,7 +68,7 @@ std::vector<uint64_t> PackCodes(std::span<const uint64_t> codes, int bits) {
 }
 
 std::shared_ptr<const EncodedColumn> EncodeIntColumn(
-    const std::vector<int64_t>& v) {
+    std::span<const int64_t> v) {
   const int64_t n = static_cast<int64_t>(v.size());
   if (n == 0) return nullptr;
   int64_t mn = v[0], mx = v[0];
@@ -119,7 +119,7 @@ std::shared_ptr<const EncodedColumn> EncodeIntColumn(
 }
 
 std::shared_ptr<const EncodedColumn> EncodeFloatColumn(
-    const std::vector<double>& v) {
+    std::span<const double> v) {
   const int64_t n = static_cast<int64_t>(v.size());
   if (n == 0) return nullptr;
   // Dictionary over raw bit patterns: NaN payloads and signed zeros
@@ -146,7 +146,7 @@ std::shared_ptr<const EncodedColumn> EncodeFloatColumn(
 }
 
 std::shared_ptr<const EncodedColumn> EncodeStrColumn(
-    const std::vector<StringPool::Id>& v) {
+    std::span<const StringPool::Id> v) {
   const int64_t n = static_cast<int64_t>(v.size());
   if (n == 0) return nullptr;
   std::vector<uint64_t> keys(n);

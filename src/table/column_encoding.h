@@ -95,11 +95,11 @@ struct EncodedColumn {
 // at least ~10% over the plain vector (or the column is empty) — the
 // caller keeps the plain layout.
 std::shared_ptr<const EncodedColumn> EncodeIntColumn(
-    const std::vector<int64_t>& v);
+    std::span<const int64_t> v);
 std::shared_ptr<const EncodedColumn> EncodeFloatColumn(
-    const std::vector<double>& v);
+    std::span<const double> v);
 std::shared_ptr<const EncodedColumn> EncodeStrColumn(
-    const std::vector<StringPool::Id>& v);
+    std::span<const StringPool::Id> v);
 
 }  // namespace ringo
 

@@ -173,7 +173,7 @@ Result<TablePtr> Table::GroupByAggregate(
   // Aggregate columns.
   for (size_t a = 0; a < aggs.size(); ++a) {
     Column& dst = out->mutable_column(static_cast<int>(group_cols.size() + a));
-    dst.Resize(groups);
+    dst.ResizeForOverwrite(groups);
     const std::vector<AggState>& st = state[a];
     const int ci = aidx[a];
     const ColumnType in_type =

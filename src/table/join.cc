@@ -8,6 +8,7 @@
 // The build side is split out as JoinBuild (table/join_build.h):
 // Table::BuildJoin constructs it once, Table::JoinWithBuild probes it any
 // number of times, and JoinMulti composes the two for the one-shot case.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -150,40 +151,43 @@ Result<TablePtr> ProbeAndEmit(const Table& left, const std::vector<int>& lci,
   // Exact verification for composite keys (hash equality is not enough).
   const RowComparator verify(&left, &right, lci, rci);
 
-  // Probe left rows, partitioned; per-thread buffers keep the output
-  // deterministic after in-order concatenation.
+  // Probe left rows in NumThreads() contiguous parts, each into its own
+  // match buffers; the buffers then land at prefix offsets of the
+  // presized match lists, so the output order (left row order, right rows
+  // ascending) does not depend on the thread count.
   const int64_t nl = left.NumRows();
-  const int threads = NumThreads();
-  const std::vector<int64_t> bounds = PartitionRange(nl, threads);
-  std::vector<std::vector<int64_t>> lbuf(threads), rbuf(threads);
+  const int parts = NumThreads();
+  const std::vector<int64_t> bounds = PartitionRange(nl, parts);
+  std::vector<std::vector<int64_t>> lbuf(parts), rbuf(parts);
   {
     RINGO_TRACE_SPAN("Table/Join/probe");
-#pragma omp parallel num_threads(threads)
-    {
-      const int t = omp_get_thread_num();
-      if (t < threads) {
-        std::vector<int64_t>& lo = lbuf[t];
-        std::vector<int64_t>& ro = rbuf[t];
-        for (int64_t l = bounds[t]; l < bounds[t + 1]; ++l) {
-          uint64_t k = 0;
-          if (!CompositeKey(lkeys, l, &k)) continue;
-          const int64_t* head = heads.Find(k);
-          if (head == nullptr) continue;
-          for (int64_t r = *head; r >= 0; r = next[r]) {
-            if (composite && !verify.Equal(l, r)) continue;
-            lo.push_back(l);
-            ro.push_back(r);
-          }
+    ParallelFor(0, parts, [&](int64_t p) {
+      std::vector<int64_t>& lo = lbuf[p];
+      std::vector<int64_t>& ro = rbuf[p];
+      for (int64_t l = bounds[p]; l < bounds[p + 1]; ++l) {
+        uint64_t k = 0;
+        if (!CompositeKey(lkeys, l, &k)) continue;
+        const int64_t* head = heads.Find(k);
+        if (head == nullptr) continue;
+        for (int64_t r = *head; r >= 0; r = next[r]) {
+          if (composite && !verify.Equal(l, r)) continue;
+          lo.push_back(l);
+          ro.push_back(r);
         }
       }
-    }
+    });
   }
-  std::vector<int64_t> lrows, rrows;
-  for (int t = 0; t < threads; ++t) {
-    lrows.insert(lrows.end(), lbuf[t].begin(), lbuf[t].end());
-    rrows.insert(rrows.end(), rbuf[t].begin(), rbuf[t].end());
+  std::vector<int64_t> offsets(parts);
+  for (int p = 0; p < parts; ++p) {
+    offsets[p] = static_cast<int64_t>(lbuf[p].size());
   }
-  span->AddAttr("matches", static_cast<int64_t>(lrows.size()));
+  const int64_t matches = ExclusivePrefixSum(offsets);
+  Column::IntVec lrows(matches), rrows(matches);
+  ParallelFor(0, parts, [&](int64_t p) {
+    std::copy(lbuf[p].begin(), lbuf[p].end(), lrows.begin() + offsets[p]);
+    std::copy(rbuf[p].begin(), rbuf[p].end(), rrows.begin() + offsets[p]);
+  });
+  span->AddAttr("matches", matches);
 
   // Materialize: join always produces a new table object (paper §3).
   const std::shared_ptr<StringPool>& out_pool = left.pool();
@@ -191,20 +195,18 @@ Result<TablePtr> ProbeAndEmit(const Table& left, const std::vector<int>& lci,
   EmitColumns(left, lrows, out_pool, out.get(), 0);
   EmitColumns(right, rrows, out_pool, out.get(), left.num_columns());
   if (keep_provenance) {
-    const int64_t n = static_cast<int64_t>(lrows.size());
     Column& lprov =
         out->mutable_column(left.num_columns() + right.num_columns());
     Column& rprov =
         out->mutable_column(left.num_columns() + right.num_columns() + 1);
-    lprov.Resize(n);
-    rprov.Resize(n);
-    ParallelFor(0, n, [&](int64_t i) {
+    lprov.ResizeForOverwrite(matches);
+    rprov.ResizeForOverwrite(matches);
+    ParallelFor(0, matches, [&](int64_t i) {
       lprov.SetInt(i, left.RowId(lrows[i]));
       rprov.SetInt(i, right.RowId(rrows[i]));
     });
   }
-  RINGO_RETURN_NOT_OK(
-      out->SealAppendedRows(static_cast<int64_t>(lrows.size())));
+  RINGO_RETURN_NOT_OK(out->SealAppendedRows(matches));
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -84,8 +86,13 @@ Status Table::SealAppendedRows(int64_t added) {
                               " rows, expected " + std::to_string(expect));
     }
   }
-  row_ids_.reserve(expect);
-  for (int64_t i = 0; i < added; ++i) row_ids_.push_back(next_row_id_++);
+  const int64_t first_row = num_rows_;
+  const int64_t first_id = next_row_id_;
+  row_ids_.resize(expect);
+  ParallelForRange(first_row, expect, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) row_ids_[r] = first_id + (r - first_row);
+  });
+  next_row_id_ += added;
   num_rows_ = expect;
   return Status::OK();
 }
@@ -154,10 +161,11 @@ namespace {
 
 // Typed predicate evaluation over one column; writes 0/1 flags.
 template <typename T, typename Get>
-void EvalTyped(int64_t n, CmpOp op, T rhs, const Get& get,
-               std::vector<uint8_t>* flags) {
+void EvalTyped(int64_t n, CmpOp op, T rhs, const Get& get, uint8_t* out) {
   auto run = [&](auto cmp) {
-    ParallelFor(0, n, [&](int64_t i) { (*flags)[i] = cmp(get(i), rhs) ? 1 : 0; });
+    ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) out[i] = cmp(get(i), rhs) ? 1 : 0;
+    });
   };
   switch (op) {
     case CmpOp::kEq: run([](const T& a, const T& b) { return a == b; }); break;
@@ -178,17 +186,56 @@ void EvalTyped(int64_t n, CmpOp op, T rhs, const Get& get,
 template <typename T, typename DictGet>
 void EvalDictCodes(const EncodedColumn& e, int64_t dict_count, int64_t n,
                    CmpOp op, T rhs, const DictGet& dict_at,
-                   std::vector<uint8_t>* flags) {
-  std::vector<uint8_t> match(static_cast<size_t>(dict_count), 0);
-  EvalTyped<T>(dict_count, op, rhs, dict_at, &match);
-  ParallelFor(0, n, [&](int64_t i) { (*flags)[i] = match[e.Code(i)]; });
+                   uint8_t* out) {
+  std::vector<uint8_t> match(static_cast<size_t>(dict_count));
+  EvalTyped<T>(dict_count, op, rhs, dict_at, match.data());
+  ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) out[i] = match[e.Code(i)];
+  });
 }
 
-std::vector<int64_t> FlagsToKeep(const std::vector<uint8_t>& flags) {
-  std::vector<int64_t> keep;
-  for (int64_t i = 0; i < static_cast<int64_t>(flags.size()); ++i) {
-    if (flags[i]) keep.push_back(i);
+// Writes the indices i in [lo, hi) with flags[i] == 1 to `out`, in
+// order. Eight flags at a time: a word's set flags come off its bits, so
+// the branch that mispredicts runs once per match and once per word
+// instead of once per row.
+void CompactRange(const uint8_t* flags, int64_t lo, int64_t hi,
+                  int64_t* out) {
+  int64_t i = lo;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 8 <= hi; i += 8) {
+      uint64_t w;
+      std::memcpy(&w, flags + i, sizeof(w));
+      w &= 0x0101010101010101ULL;
+      while (w != 0) {
+        *out++ = i + (std::countr_zero(w) >> 3);
+        w &= w - 1;
+      }
+    }
   }
+  for (; i < hi; ++i) {
+    if (flags[i] != 0) *out++ = i;
+  }
+}
+
+// The ascending indices of the set flags (each flag is 0 or 1). Parallel
+// compaction: per-part match counts, an exclusive prefix sum of them,
+// then each part writes its rows at its offset. The parts are contiguous
+// and in order, so the list is the same at every thread count.
+std::vector<int64_t> FlagsToKeep(const DefaultInitVector<uint8_t>& flags) {
+  const int64_t n = static_cast<int64_t>(flags.size());
+  const int parts = RangeParts(n);
+  const std::vector<int64_t> bounds = PartitionRange(n, parts);
+  std::vector<int64_t> offsets(parts);
+  ParallelFor(0, parts, [&](int64_t p) {
+    int64_t count = 0;
+    for (int64_t i = bounds[p]; i < bounds[p + 1]; ++i) count += flags[i];
+    offsets[p] = count;
+  });
+  std::vector<int64_t> keep(ExclusivePrefixSum(offsets));
+  ParallelFor(0, parts, [&](int64_t p) {
+    CompactRange(flags.data(), bounds[p], bounds[p + 1],
+                 keep.data() + offsets[p]);
+  });
   return keep;
 }
 
@@ -197,7 +244,7 @@ std::vector<int64_t> FlagsToKeep(const std::vector<uint8_t>& flags) {
 Status Table::EvalPredicate(std::string_view col, CmpOp op,
                             const Value& value,
                             std::vector<int64_t>* keep) const {
-  std::vector<uint8_t> flags;
+  DefaultInitVector<uint8_t> flags;
   RINGO_RETURN_NOT_OK(EvalPredicateFlags(col, op, value, &flags));
   *keep = FlagsToKeep(flags);
   return Status::OK();
@@ -205,11 +252,12 @@ Status Table::EvalPredicate(std::string_view col, CmpOp op,
 
 Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
                                  const Value& value,
-                                 std::vector<uint8_t>* out_flags) const {
+                                 DefaultInitVector<uint8_t>* out_flags) const {
   RINGO_ASSIGN_OR_RETURN(const int ci, schema_.FindColumn(col));
   const Column& c = cols_[ci];
-  std::vector<uint8_t>& flags = *out_flags;
-  flags.assign(num_rows_, 0);
+  // Sized without a zero fill: every path below writes every flag.
+  out_flags->resize(num_rows_);
+  uint8_t* const flags = out_flags->data();
   switch (c.type()) {
     case ColumnType::kInt: {
       if (!std::holds_alternative<int64_t>(value)) {
@@ -221,7 +269,7 @@ Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
       if (e != nullptr && e->enc == ColumnEncoding::kDictInt) {
         EvalDictCodes<int64_t>(
             *e, static_cast<int64_t>(e->dict_ints.size()), num_rows_, op, rhs,
-            [&](int64_t k) { return e->dict_ints[k]; }, &flags);
+            [&](int64_t k) { return e->dict_ints[k]; }, flags);
       } else if (e != nullptr && e->enc == ColumnEncoding::kForInt &&
                  e->bits <= 62) {
         // FOR is order-preserving (v = base + code), so every comparison
@@ -236,10 +284,10 @@ Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
         EvalTyped<int64_t>(
             num_rows_, op, t,
             [&](int64_t i) { return static_cast<int64_t>(e->Code(i)); },
-            &flags);
+            flags);
       } else {
         EvalTyped<int64_t>(num_rows_, op, rhs,
-                           [&](int64_t i) { return c.GetInt(i); }, &flags);
+                           [&](int64_t i) { return c.GetInt(i); }, flags);
       }
       break;
     }
@@ -257,10 +305,10 @@ Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
       if (e != nullptr && e->enc == ColumnEncoding::kDictFloat) {
         EvalDictCodes<double>(
             *e, static_cast<int64_t>(e->dict_floats.size()), num_rows_, op,
-            rhs, [&](int64_t k) { return e->dict_floats[k]; }, &flags);
+            rhs, [&](int64_t k) { return e->dict_floats[k]; }, flags);
       } else {
         EvalTyped<double>(num_rows_, op, rhs,
-                          [&](int64_t i) { return c.GetFloat(i); }, &flags);
+                          [&](int64_t i) { return c.GetFloat(i); }, flags);
       }
       break;
     }
@@ -275,15 +323,15 @@ Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
         const StringPool::Id id = pool_->Find(rhs);
         if (id == StringPool::kInvalidId) {
           const uint8_t fill = (op == CmpOp::kNe) ? 1 : 0;
-          std::fill(flags.begin(), flags.end(), fill);
+          std::fill(flags, flags + num_rows_, fill);
         } else if (const EncodedColumn* e = c.encoded_state()) {
           EvalDictCodes<StringPool::Id>(
               *e, static_cast<int64_t>(e->dict_strs.size()), num_rows_, op,
-              id, [&](int64_t k) { return e->dict_strs[k]; }, &flags);
+              id, [&](int64_t k) { return e->dict_strs[k]; }, flags);
         } else {
           EvalTyped<StringPool::Id>(num_rows_, op, id,
                                     [&](int64_t i) { return c.GetStr(i); },
-                                    &flags);
+                                    flags);
         }
       } else {
         // Ordering comparisons resolve bytes per distinct id via the pool.
@@ -292,10 +340,10 @@ Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
           EvalDictCodes<std::string_view>(
               *e, static_cast<int64_t>(e->dict_strs.size()), num_rows_, op,
               rhs_view, [&](int64_t k) { return pool_->Get(e->dict_strs[k]); },
-              &flags);
+              flags);
         } else {
           auto get = [&](int64_t i) { return pool_->Get(c.GetStr(i)); };
-          EvalTyped<std::string_view>(num_rows_, op, rhs_view, get, &flags);
+          EvalTyped<std::string_view>(num_rows_, op, rhs_view, get, flags);
         }
       }
       break;
@@ -319,17 +367,20 @@ Status Table::EvalPredicateExpr(const PredicateExpr& pred,
     const ParsedPredicate& l = pred.disjuncts[0][0];
     return EvalPredicate(l.column, l.op, l.value, keep);
   }
-  std::vector<uint8_t> acc(num_rows_, 0);
-  std::vector<uint8_t> conj_flags, leaf_flags;
+  DefaultInitVector<uint8_t> acc(num_rows_, 0);
+  DefaultInitVector<uint8_t> conj_flags, leaf_flags;
   for (const auto& conj : pred.disjuncts) {
     conj_flags.assign(num_rows_, 1);
     for (const ParsedPredicate& l : conj) {
       RINGO_RETURN_NOT_OK(EvalPredicateFlags(l.column, l.op, l.value,
                                              &leaf_flags));
-      ParallelFor(0, num_rows_,
-                  [&](int64_t i) { conj_flags[i] &= leaf_flags[i]; });
+      ParallelForRange(0, num_rows_, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) conj_flags[i] &= leaf_flags[i];
+      });
     }
-    ParallelFor(0, num_rows_, [&](int64_t i) { acc[i] |= conj_flags[i]; });
+    ParallelForRange(0, num_rows_, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) acc[i] |= conj_flags[i];
+    });
   }
   *keep = FlagsToKeep(acc);
   return Status::OK();
@@ -422,7 +473,7 @@ Result<TablePtr> Table::Project(const std::vector<std::string>& cols) const {
   for (size_t k = 0; k < idx.size(); ++k) {
     out->cols_[k] = cols_[idx[k]];  // Column copy.
   }
-  out->row_ids_ = row_ids_;
+  AppendCopy(out->row_ids_, row_ids_);
   out->num_rows_ = num_rows_;
   out->next_row_id_ = next_row_id_;
   return out;
@@ -492,10 +543,8 @@ Result<TablePtr> Table::Unique(const std::vector<std::string>& cols) const {
 
 void Table::CompactKeep(const std::vector<int64_t>& keep) {
   for (Column& c : cols_) c.CompactKeep(keep);
-  const int64_t n = static_cast<int64_t>(keep.size());
-  for (int64_t i = 0; i < n; ++i) row_ids_[i] = row_ids_[keep[i]];
-  row_ids_.resize(n);
-  num_rows_ = n;
+  internal::CompactCells(row_ids_, keep);
+  num_rows_ = static_cast<int64_t>(keep.size());
 }
 
 TablePtr Table::GatherRows(const std::vector<int64_t>& idx) const {
@@ -503,10 +552,9 @@ TablePtr Table::GatherRows(const std::vector<int64_t>& idx) const {
   for (int c = 0; c < num_columns(); ++c) {
     out->cols_[c] = cols_[c].Gather(idx);
   }
-  out->row_ids_.resize(idx.size());
-  const int64_t n = static_cast<int64_t>(idx.size());
-  ParallelFor(0, n, [&](int64_t i) { out->row_ids_[i] = row_ids_[idx[i]]; });
-  out->num_rows_ = n;
+  out->row_ids_ = internal::GatherCells<Column::IntVec>(
+      idx, [this](int64_t r) { return row_ids_[r]; });
+  out->num_rows_ = static_cast<int64_t>(idx.size());
   out->next_row_id_ = next_row_id_;
   return out;
 }

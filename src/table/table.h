@@ -10,7 +10,9 @@
 //   * graph-specific operators SimJoin and NextK beyond the relational core.
 //
 // All operations return Status/Result and leave the table untouched on
-// error. Heavy loops are OpenMP-parallel.
+// error. Heavy loops are OpenMP-parallel, and operator outputs are sized
+// without a zero fill (Column::ResizeForOverwrite) before the parallel
+// pass that writes every cell.
 #ifndef RINGO_TABLE_TABLE_H_
 #define RINGO_TABLE_TABLE_H_
 
@@ -89,7 +91,7 @@ class Table {
 
   // Persistent row identifier of physical row `row`.
   int64_t RowId(int64_t row) const { return row_ids_[row]; }
-  const std::vector<int64_t>& row_ids() const { return row_ids_; }
+  const Column::IntVec& row_ids() const { return row_ids_; }
 
   // ---------------------------------------------------------------- build
   void ReserveRows(int64_t n);
@@ -99,8 +101,9 @@ class Table {
   Status AppendRow(const std::vector<Value>& values);
 
   // Bulk-append raw typed data: the caller fills columns directly via
-  // mutable_column() and then seals the rows, which assigns row ids.
-  // All columns must have size NumRows() + added.
+  // mutable_column() and then seals the rows, which assigns row ids
+  // (consecutive, in parallel). All columns must have size
+  // NumRows() + added.
   Status SealAppendedRows(int64_t added);
 
   // -------------------------------------------------------------- queries
@@ -112,8 +115,23 @@ class Table {
   std::string ToString(int64_t max_rows = 10) const;
 
   // --------------------------------------------------------------- select
+  // Every select runs in two steps on all cores. The predicate evaluates
+  // to one 0/1 flag per row; then the flags compact into the ascending
+  // keep list of matching rows: each of NumThreads() contiguous parts
+  // counts its matches, an exclusive prefix sum turns the counts into
+  // write offsets, and each part writes its rows into the presized list.
+  // Small tables (internal::kParallelRangeCutoff rows or fewer) run both
+  // steps on the calling thread. The keep list, and so every output, is
+  // the same at every thread count.
+  //
   // Keeps rows where `col <op> value`; in place (the paper's "select in
   // place" benchmark, Table 4). Row ids of surviving rows are preserved.
+  // In place means the table object is kept: each column in turn (then
+  // the row ids) is gathered into fresh storage, so the temporary is one
+  // column's kept rows, not a second table. Keeping at least half the
+  // rows, the fresh storage replaces the column's; keeping fewer, the
+  // kept rows are copied back and the column keeps its capacity
+  // (internal::CompactCells in column.h).
   Status SelectInPlace(std::string_view col, CmpOp op, const Value& value);
   // Copying variant.
   Result<TablePtr> Select(std::string_view col, CmpOp op,
@@ -291,7 +309,8 @@ class Table {
   // table_io.cc — restores row_ids_/next_row_id_ when loading .rtb files.
   friend class TableBinAccess;
 
-  // Compacts all columns + row ids to the given ascending row subset.
+  // Compacts all columns + row ids to the given ascending row subset, one
+  // column at a time.
   void CompactKeep(const std::vector<int64_t>& keep);
   // Gathers rows into a fresh table (row ids preserved).
   TablePtr GatherRows(const std::vector<int64_t>& idx) const;
@@ -300,7 +319,7 @@ class Table {
                        std::vector<int64_t>* keep) const;
   // Same, but into per-row 0/1 flags (the combiner for compound selects).
   Status EvalPredicateFlags(std::string_view col, CmpOp op, const Value& value,
-                            std::vector<uint8_t>* flags) const;
+                            DefaultInitVector<uint8_t>* flags) const;
   // DNF evaluation: per-leaf flags ANDed within a group, ORed across.
   Status EvalPredicateExpr(const PredicateExpr& pred,
                            std::vector<int64_t>* keep) const;
@@ -308,7 +327,7 @@ class Table {
   Schema schema_;
   std::shared_ptr<StringPool> pool_;
   std::vector<Column> cols_;
-  std::vector<int64_t> row_ids_;
+  Column::IntVec row_ids_;
   int64_t num_rows_ = 0;
   int64_t next_row_id_ = 0;
 };

@@ -3,6 +3,7 @@
 #ifndef RINGO_TABLE_TABLE_BUILD_H_
 #define RINGO_TABLE_TABLE_BUILD_H_
 
+#include <span>
 #include <vector>
 
 #include "storage/flat_hash_map.h"
@@ -27,15 +28,16 @@ inline Status AppendSuffixedColumns(const Schema& self, const Schema& other,
 
 // Copies `src`'s columns gathered at `rows` into `out` starting at column
 // `first_out_col`, translating string ids into `out_pool` when the pools
-// differ. Parallel on the fast paths.
-inline void EmitColumns(const Table& src, const std::vector<int64_t>& rows,
+// differ. Parallel on the fast paths. Every path writes every cell, so the
+// output columns are sized without a zero fill.
+inline void EmitColumns(const Table& src, std::span<const int64_t> rows,
                         const std::shared_ptr<StringPool>& out_pool,
                         Table* out, int first_out_col) {
   const int64_t n = static_cast<int64_t>(rows.size());
   for (int c = 0; c < src.num_columns(); ++c) {
     Column& dst = out->mutable_column(first_out_col + c);
     const Column& col = src.column(c);
-    dst.Resize(n);
+    dst.ResizeForOverwrite(n);
     if (col.type() == ColumnType::kString && src.pool() != out_pool) {
       // Cross-pool: translate each distinct id once, then map.
       FlatHashMap<StringPool::Id, StringPool::Id> cache;
@@ -48,18 +50,21 @@ inline void EmitColumns(const Table& src, const std::vector<int64_t>& rows,
         dst.SetStr(i, *m);
       }
     } else {
+      auto emit = [&](auto* out, const auto& get) {
+        ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
+          for (int64_t i = lo; i < hi; ++i) out[i] = get(rows[i]);
+        });
+      };
       switch (col.type()) {
         case ColumnType::kInt:
-          ParallelFor(0, n,
-                      [&](int64_t i) { dst.SetInt(i, col.GetInt(rows[i])); });
+          emit(dst.ints().data(), [&](int64_t r) { return col.GetInt(r); });
           break;
         case ColumnType::kFloat:
-          ParallelFor(
-              0, n, [&](int64_t i) { dst.SetFloat(i, col.GetFloat(rows[i])); });
+          emit(dst.floats().data(),
+               [&](int64_t r) { return col.GetFloat(r); });
           break;
         case ColumnType::kString:
-          ParallelFor(0, n,
-                      [&](int64_t i) { dst.SetStr(i, col.GetStr(rows[i])); });
+          emit(dst.strs().data(), [&](int64_t r) { return col.GetStr(r); });
           break;
       }
     }

@@ -98,7 +98,7 @@ Status Table::AddIntColumn(
   RINGO_RETURN_NOT_OK(schema_.AddColumn(name, ColumnType::kInt));
   cols_.emplace_back(ColumnType::kInt);
   Column& c = cols_.back();
-  c.Resize(num_rows_);
+  c.ResizeForOverwrite(num_rows_);
   ParallelFor(0, num_rows_, [&](int64_t i) { c.SetInt(i, fn(*this, i)); });
   return Status::OK();
 }
@@ -108,7 +108,7 @@ Status Table::AddFloatColumn(
   RINGO_RETURN_NOT_OK(schema_.AddColumn(name, ColumnType::kFloat));
   cols_.emplace_back(ColumnType::kFloat);
   Column& c = cols_.back();
-  c.Resize(num_rows_);
+  c.ResizeForOverwrite(num_rows_);
   ParallelFor(0, num_rows_, [&](int64_t i) { c.SetFloat(i, fn(*this, i)); });
   return Status::OK();
 }
@@ -119,7 +119,7 @@ Status Table::AddStringColumn(
   RINGO_RETURN_NOT_OK(schema_.AddColumn(name, ColumnType::kString));
   cols_.emplace_back(ColumnType::kString);
   Column& c = cols_.back();
-  c.Resize(num_rows_);
+  c.ResizeForOverwrite(num_rows_);
   // Interning serializes on the pool mutex; keep this loop sequential.
   for (int64_t i = 0; i < num_rows_; ++i) {
     c.SetStr(i, pool_->GetOrAdd(fn(*this, i)));
@@ -135,7 +135,7 @@ Status Table::CastColumn(std::string_view name, ColumnType to) {
     return Status::TypeMismatch("CastColumn supports numeric casts only");
   }
   Column fresh(to);
-  fresh.Resize(num_rows_);
+  fresh.ResizeForOverwrite(num_rows_);
   const Column& old = cols_[ci];
   if (to == ColumnType::kFloat) {
     ParallelFor(0, num_rows_, [&](int64_t i) {

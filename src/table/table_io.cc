@@ -260,7 +260,7 @@ Result<TablePtr> LoadTableTSV(const Schema& schema, const std::string& path,
   std::vector<StringPool::Id*> str_cols;
   for (int c = 0; c < schema.num_columns(); ++c) {
     Column& col = table->mutable_column(c);
-    col.Resize(n);
+    col.ResizeForOverwrite(n);
     ColumnSink s{schema.column(c).type};
     switch (s.type) {
       case ColumnType::kInt: s.ints = col.ints().data(); break;
@@ -382,7 +382,7 @@ Status SaveTableTSV(const Table& t, const std::string& path,
 class TableBinAccess {
  public:
   static int64_t NextRowId(const Table& t) { return t.next_row_id_; }
-  static void Restore(Table& t, std::vector<int64_t> row_ids,
+  static void Restore(Table& t, Column::IntVec row_ids,
                       int64_t next_row_id) {
     t.num_rows_ = static_cast<int64_t>(row_ids.size());
     t.row_ids_ = std::move(row_ids);
@@ -445,7 +445,7 @@ int BitsForDict(int64_t dict_count) {
 
 // First-occurrence dictionary over a plain string-id vector (the save path
 // for string columns that are not already dict-encoded in memory).
-void BuildStrDict(const std::vector<StringPool::Id>& v,
+void BuildStrDict(std::span<const StringPool::Id> v,
                   std::vector<StringPool::Id>* dict,
                   std::vector<uint64_t>* codes) {
   std::unordered_map<StringPool::Id, uint64_t> seen;
@@ -555,6 +555,17 @@ Status CheckSegment(const uint8_t* base, size_t file_size, const SegRef& s,
     return Status::Corruption("checksum mismatch in " + what + " segment");
   }
   return Status::OK();
+}
+
+// Copies n 8-byte cells from the mapping into `dst` in parallel ranges,
+// so the destination's first-touch page faults spread over the threads.
+// n == 0 copies nothing (a zero-row vector's data() may be null, and
+// memcpy's pointer arguments are declared nonnull even for size 0).
+void CopyCells(void* dst, const uint8_t* src, int64_t n) {
+  uint8_t* const out = static_cast<uint8_t*>(dst);
+  ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
+    std::memcpy(out + lo * 8, src + lo * 8, static_cast<size_t>(hi - lo) * 8);
+  });
 }
 
 // Largest of the first n codes, as a parallel max over fixed blocks.
@@ -805,19 +816,13 @@ Result<TablePtr> LoadTableBin(const std::string& path,
         return Status::Corruption("column '" + e.name +
                                   "': data segment size mismatch");
       }
-      // Empty segments skip the copy: a zero-row vector's data() may be
-      // null, and memcpy's pointer args are declared nonnull even for n=0.
-      if (type == ColumnType::kInt) {
-        std::vector<int64_t>& v = t->mutable_column(ci).ints();
-        v.resize(nrows);
-        if (e.data.bytes != 0)
-          std::memcpy(v.data(), base + e.data.offset, e.data.bytes);
-      } else {
-        std::vector<double>& v = t->mutable_column(ci).floats();
-        v.resize(nrows);
-        if (e.data.bytes != 0)
-          std::memcpy(v.data(), base + e.data.offset, e.data.bytes);
-      }
+      // Straight into the column's storage, sized without a zero fill.
+      Column& col = t->mutable_column(ci);
+      col.ResizeForOverwrite(nrows);
+      void* dst = type == ColumnType::kInt
+                      ? static_cast<void*>(col.ints().data())
+                      : static_cast<void*>(col.floats().data());
+      CopyCells(dst, base + e.data.offset, nrows);
       continue;
     }
 
@@ -913,9 +918,8 @@ Result<TablePtr> LoadTableBin(const std::string& path,
   if (row_seg.bytes != static_cast<uint64_t>(nrows) * 8) {
     return Status::Corruption("'" + path + "': row-id segment size mismatch");
   }
-  std::vector<int64_t> row_ids(nrows);
-  if (row_seg.bytes != 0)
-    std::memcpy(row_ids.data(), base + row_seg.offset, row_seg.bytes);
+  Column::IntVec row_ids(nrows);
+  CopyCells(row_ids.data(), base + row_seg.offset, nrows);
   TableBinAccess::Restore(*t, std::move(row_ids), next_row_id);
 
   RINGO_COUNTER_ADD("table_io/load_bin", 1);

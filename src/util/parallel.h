@@ -319,6 +319,38 @@ inline int64_t ExclusivePrefixSum(std::vector<int64_t>& v) {
 // conversion, §2.4).
 std::vector<int64_t> PartitionRange(int64_t n, int parts);
 
+namespace internal {
+
+// Ranges up to this many elements run on the calling thread: a fork/join
+// costs more than a pass over them saves.
+constexpr int64_t kParallelRangeCutoff = 1 << 14;
+
+}  // namespace internal
+
+// Number of parts a partitioned pass over n elements uses: one at or below
+// internal::kParallelRangeCutoff, else NumThreads().
+inline int RangeParts(int64_t n) {
+  return n <= internal::kParallelRangeCutoff ? 1 : std::max(1, NumThreads());
+}
+
+// Applies fn(lo, hi) to the RangeParts(end - begin) contiguous ranges that
+// tile [begin, end), in parallel. A single part runs on the calling thread
+// with no fork/join.
+template <typename Fn>
+void ParallelForRange(int64_t begin, int64_t end, Fn&& fn) {
+  const int64_t n = end - begin;
+  if (n <= 0) return;
+  const int parts = RangeParts(n);
+  if (parts == 1) {
+    fn(begin, end);
+    return;
+  }
+  const std::vector<int64_t> bounds = PartitionRange(n, parts);
+  ParallelFor(0, parts, [&](int64_t p) {
+    fn(begin + bounds[p], begin + bounds[p + 1]);
+  });
+}
+
 }  // namespace ringo
 
 #endif  // RINGO_UTIL_PARALLEL_H_

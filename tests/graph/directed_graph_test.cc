@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "algo/algo_view.h"
+#include "algo/pagerank.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -164,6 +169,81 @@ TEST(DirectedGraphTest, MemoryUsageGrowsWithEdges) {
   DirectedGraph small = testing::RandomDirected(100, 200, 1);
   DirectedGraph large = testing::RandomDirected(100, 2000, 1);
   EXPECT_GT(large.MemoryUsageBytes(), small.MemoryUsageBytes());
+}
+
+// Node ids of a snapshot, ascending.
+std::vector<NodeId> ViewIds(const DirectedGraph& g) {
+  const auto view = AlgoView::Of(g);
+  std::vector<NodeId> ids;
+  for (int64_t i = 0; i < view->NumNodes(); ++i) ids.push_back(view->IdOf(i));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// Node ids PageRank scores, ascending.
+std::vector<NodeId> RankedIds(const DirectedGraph& g) {
+  auto pr = ParallelPageRank(g, PageRankConfig{});
+  EXPECT_TRUE(pr.ok());
+  std::vector<NodeId> ids;
+  for (const auto& [id, score] : *pr) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// Stamps are per graph and start at 1, so two graphs with as many
+// mutations share stamp values: an assignment that kept the target's
+// cached snapshot would serve the old graph.
+TEST(DirectedGraphTest, CopyAssignmentDropsCachedSnapshot) {
+  DirectedGraph a;
+  a.AddEdge(1, 2);
+  a.AddEdge(2, 3);
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{1, 2, 3}));
+  DirectedGraph b;
+  b.AddEdge(10, 20);
+  b.AddEdge(20, 30);
+  a = b;
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{10, 20, 30}));
+  EXPECT_EQ(RankedIds(a), (std::vector<NodeId>{10, 20, 30}));
+}
+
+TEST(DirectedGraphTest, MoveAssignmentDropsCachedSnapshot) {
+  DirectedGraph a;
+  a.AddEdge(1, 2);
+  a.AddEdge(2, 3);
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{1, 2, 3}));
+  DirectedGraph c;
+  c.AddEdge(10, 20);
+  c.AddEdge(20, 30);
+  EXPECT_EQ(ViewIds(c), (std::vector<NodeId>{10, 20, 30}));
+  a = std::move(c);
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{10, 20, 30}));
+  EXPECT_EQ(RankedIds(a), (std::vector<NodeId>{10, 20, 30}));
+}
+
+// A moved-from graph is an empty, usable graph with no cached snapshot.
+TEST(DirectedGraphTest, MovedFromGraphIsEmptyAndUsable) {
+  for (const bool by_assignment : {false, true}) {
+    DirectedGraph d;
+    d.AddEdge(5, 6);
+    EXPECT_EQ(ViewIds(d), (std::vector<NodeId>{5, 6}));
+    DirectedGraph e;
+    if (by_assignment) {
+      e = std::move(d);
+    } else {
+      DirectedGraph moved(std::move(d));
+      e = moved;
+    }
+    EXPECT_EQ(e.NumNodes(), 2);
+    EXPECT_EQ(d.NumNodes(), 0);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(d.NumEdges(), 0);
+    EXPECT_FALSE(d.HasNode(5));
+    EXPECT_TRUE(ViewIds(d).empty());
+    EXPECT_TRUE(d.AddEdge(7, 8));
+    EXPECT_TRUE(d.HasEdge(7, 8));
+    EXPECT_EQ(d.NumNodes(), 2);
+    EXPECT_EQ(ViewIds(d), (std::vector<NodeId>{7, 8}));
+    EXPECT_EQ(ViewIds(e), (std::vector<NodeId>{5, 6}));
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "algo/algo_view.h"
+#include "algo/kcore.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -119,6 +124,75 @@ TEST(UndirectedGraphTest, SameStructure) {
   EXPECT_TRUE(a.SameStructure(b));
   b.AddEdge(0, 19);
   EXPECT_FALSE(a.SameStructure(b) && !a.HasEdge(0, 19));
+}
+
+// Node ids of a snapshot, ascending.
+std::vector<NodeId> ViewIds(const UndirectedGraph& g) {
+  const auto view = AlgoView::Of(g);
+  std::vector<NodeId> ids;
+  for (int64_t i = 0; i < view->NumNodes(); ++i) ids.push_back(view->IdOf(i));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// (id, core number) pairs, ascending by id.
+NodeInts Cores(const UndirectedGraph& g) {
+  NodeInts cores = CoreNumbers(g);
+  std::sort(cores.begin(), cores.end());
+  return cores;
+}
+
+// See DirectedGraphTest.CopyAssignmentDropsCachedSnapshot.
+TEST(UndirectedGraphTest, CopyAssignmentDropsCachedSnapshot) {
+  UndirectedGraph a;
+  a.AddEdge(1, 2);
+  a.AddEdge(2, 3);
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{1, 2, 3}));
+  UndirectedGraph b;
+  b.AddEdge(10, 20);
+  b.AddEdge(20, 30);
+  a = b;
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{10, 20, 30}));
+  EXPECT_EQ(Cores(a), (NodeInts{{10, 1}, {20, 1}, {30, 1}}));
+}
+
+TEST(UndirectedGraphTest, MoveAssignmentDropsCachedSnapshot) {
+  UndirectedGraph a;
+  a.AddEdge(1, 2);
+  a.AddEdge(2, 3);
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{1, 2, 3}));
+  UndirectedGraph c;
+  c.AddEdge(10, 20);
+  c.AddEdge(20, 30);
+  EXPECT_EQ(ViewIds(c), (std::vector<NodeId>{10, 20, 30}));
+  a = std::move(c);
+  EXPECT_EQ(ViewIds(a), (std::vector<NodeId>{10, 20, 30}));
+  EXPECT_EQ(Cores(a), (NodeInts{{10, 1}, {20, 1}, {30, 1}}));
+}
+
+TEST(UndirectedGraphTest, MovedFromGraphIsEmptyAndUsable) {
+  for (const bool by_assignment : {false, true}) {
+    UndirectedGraph d;
+    d.AddEdge(5, 6);
+    EXPECT_EQ(ViewIds(d), (std::vector<NodeId>{5, 6}));
+    UndirectedGraph e;
+    if (by_assignment) {
+      e = std::move(d);
+    } else {
+      UndirectedGraph moved(std::move(d));
+      e = moved;
+    }
+    EXPECT_EQ(e.NumNodes(), 2);
+    EXPECT_EQ(d.NumNodes(), 0);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(d.NumEdges(), 0);
+    EXPECT_FALSE(d.HasNode(5));
+    EXPECT_TRUE(ViewIds(d).empty());
+    EXPECT_TRUE(d.AddEdge(7, 8));
+    EXPECT_TRUE(d.HasEdge(8, 7));
+    EXPECT_EQ(d.NumNodes(), 2);
+    EXPECT_EQ(ViewIds(d), (std::vector<NodeId>{7, 8}));
+    EXPECT_EQ(ViewIds(e), (std::vector<NodeId>{5, 6}));
+  }
 }
 
 }  // namespace

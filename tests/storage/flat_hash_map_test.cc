@@ -230,5 +230,39 @@ TEST(FlatHashSetTest, BasicOps) {
   EXPECT_TRUE(s.empty());
 }
 
+// A moved-from map is empty and usable, whether moved by construction or
+// assignment; the moved-to map has the contents.
+TEST(FlatHashMapTest, MovedFromMapIsEmptyAndUsable) {
+  for (const bool by_assignment : {false, true}) {
+    FlatHashMap<int64_t, int64_t> src;
+    for (int64_t i = 0; i < 100; ++i) src.Insert(i, i * 3);
+    FlatHashMap<int64_t, int64_t> dst;
+    dst.Insert(-1, -1);
+    if (by_assignment) {
+      dst = std::move(src);
+    } else {
+      FlatHashMap<int64_t, int64_t> moved(std::move(src));
+      dst = moved;
+    }
+    EXPECT_EQ(dst.size(), 100);
+    EXPECT_EQ(dst.Find(-1), nullptr);
+    EXPECT_EQ(*dst.Find(42), 126);
+
+    EXPECT_EQ(src.size(), 0);  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(src.empty());
+    EXPECT_EQ(src.Find(42), nullptr);
+    EXPECT_FALSE(src.Contains(7));
+    EXPECT_FALSE(src.Erase(7));
+    EXPECT_TRUE(src.Keys().empty());
+    EXPECT_TRUE(src.Insert(7, 70).second);
+    EXPECT_EQ(src.GetOrInsert(8), 0);
+    EXPECT_EQ(src.size(), 2);
+    EXPECT_EQ(*src.Find(7), 70);
+    for (int64_t i = 0; i < 1000; ++i) src.Insert(i + 100, i);
+    EXPECT_EQ(src.size(), 1002);
+    EXPECT_EQ(*src.Find(1099), 999);
+  }
+}
+
 }  // namespace
 }  // namespace ringo

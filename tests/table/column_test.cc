@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parallel.h"
+
 namespace ringo {
 namespace {
 
@@ -71,6 +73,45 @@ TEST(ColumnTest, ResizeAndMemory) {
   EXPECT_EQ(c.size(), 100);
   EXPECT_EQ(c.GetInt(99), 0);
   EXPECT_GE(c.MemoryUsageBytes(), 100 * static_cast<int64_t>(sizeof(int64_t)));
+}
+
+// Resize keeps existing cells and zero-fills the growth, above the
+// parallel cutoff and at several thread counts; shrinking keeps the
+// prefix. ResizeForOverwrite keeps existing cells too.
+TEST(ColumnTest, ResizeZeroFillsGrowthAtEveryThreadCount) {
+  const int64_t big = internal::kParallelRangeCutoff * 3 + 7;
+  for (int threads = 1; threads <= 4; ++threads) {
+    const int saved = NumThreads();
+    SetNumThreads(threads);
+    Column i(ColumnType::kInt), f(ColumnType::kFloat), s(ColumnType::kString);
+    i.ResizeForOverwrite(5);
+    f.ResizeForOverwrite(5);
+    s.ResizeForOverwrite(5);
+    for (int64_t r = 0; r < 5; ++r) {
+      i.SetInt(r, r + 1);
+      f.SetFloat(r, 0.5);
+      s.SetStr(r, 9);
+    }
+    i.Resize(big);
+    f.Resize(big);
+    s.Resize(big);
+    int64_t bad = -1;
+    for (int64_t r = 0; r < big && bad < 0; ++r) {
+      const bool head = r < 5;
+      if (i.GetInt(r) != (head ? r + 1 : 0) ||
+          f.GetFloat(r) != (head ? 0.5 : 0.0) ||
+          s.GetStr(r) != (head ? 9 : 0)) {
+        bad = r;
+      }
+    }
+    EXPECT_EQ(bad, -1) << threads << " threads";
+    i.Resize(3);
+    i.ResizeForOverwrite(4);
+    i.SetInt(3, 40);
+    EXPECT_EQ(i.GetInt(2), 3);
+    EXPECT_EQ(i.GetInt(3), 40);
+    SetNumThreads(saved);
+  }
 }
 
 }  // namespace

@@ -155,7 +155,7 @@ TEST_F(TableBinIoTest, RoundTripEncodedColumnsZeroCopy) {
   EXPECT_TRUE((*loaded)->column(3).encoded());
   ExpectBitIdentical(*t, **loaded);
   // Forcing full decode (raw-vector access) still matches.
-  const std::vector<int64_t>& ints = (*loaded)->column(0).ints();
+  const Column::IntVec& ints = (*loaded)->column(0).ints();
   for (int64_t i = 0; i < 64; ++i) EXPECT_EQ(ints[i], 100 + (i % 7));
 }
 

@@ -664,6 +664,84 @@ inline ReferenceTsv ReferenceParseTsv(const Schema& schema,
   return out;
 }
 
+// One column of reference cells, held as plain typed vectors (strings as
+// bytes). Tests generate their data into these and load it into a Table,
+// so the select oracle below reads no table code. Only the vector of
+// `type` is used.
+struct RefColumn {
+  std::string name;
+  ColumnType type = ColumnType::kInt;
+  std::vector<int64_t> ints;
+  std::vector<double> floats;
+  std::vector<std::string> strs;
+};
+
+// Whether `a <op> b` holds, with the operators of T.
+template <typename T>
+bool RefCompare(const T& a, CmpOp op, const T& b) {
+  switch (op) {
+    case CmpOp::kEq: return a == b;
+    case CmpOp::kNe: return a != b;
+    case CmpOp::kLt: return a < b;
+    case CmpOp::kLe: return a <= b;
+    case CmpOp::kGt: return a > b;
+    case CmpOp::kGe: return a >= b;
+  }
+  return false;
+}
+
+// Select's contract for one row of one leaf: ints compare with an int
+// literal; floats with a float or int literal, as double (so NaN matches
+// only `!=`); strings compare bytes with a string literal. Literals of any
+// other type are a contract violation here (Select rejects them).
+inline bool RefLeafHolds(const RefColumn& c, int64_t row, CmpOp op,
+                         const Value& rhs) {
+  switch (c.type) {
+    case ColumnType::kInt:
+      return RefCompare(c.ints[row], op, std::get<int64_t>(rhs));
+    case ColumnType::kFloat: {
+      const double r = std::holds_alternative<double>(rhs)
+                           ? std::get<double>(rhs)
+                           : static_cast<double>(std::get<int64_t>(rhs));
+      return RefCompare(c.floats[row], op, r);
+    }
+    case ColumnType::kString:
+      return RefCompare(c.strs[row], op, std::get<std::string>(rhs));
+  }
+  return false;
+}
+
+// The ascending rows where the DNF predicate holds — some AND-group has
+// every leaf true — evaluated row by row over the reference columns.
+inline std::vector<int64_t> ReferenceSelect(const std::vector<RefColumn>& cols,
+                                            const PredicateExpr& pred) {
+  auto find = [&](const std::string& name) -> const RefColumn& {
+    for (const RefColumn& c : cols) {
+      if (c.name == name) return c;
+    }
+    RINGO_CHECK(false) << "no reference column '" << name << "'";
+    return cols.front();
+  };
+  const int64_t n = cols.empty() ? 0
+                                 : static_cast<int64_t>(std::max(
+                                       {cols[0].ints.size(),
+                                        cols[0].floats.size(),
+                                        cols[0].strs.size()}));
+  std::vector<int64_t> keep;
+  for (int64_t r = 0; r < n; ++r) {
+    bool any = false;
+    for (const auto& conj : pred.disjuncts) {
+      bool all = true;
+      for (const ParsedPredicate& l : conj) {
+        all = all && RefLeafHolds(find(l.column), r, l.op, l.value);
+      }
+      any = any || all;
+    }
+    if (any) keep.push_back(r);
+  }
+  return keep;
+}
+
 }  // namespace testing
 }  // namespace ringo
 
