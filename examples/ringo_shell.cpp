@@ -296,7 +296,9 @@ class Shell {
       if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".rtb") == 0) {
         return ringo::SaveTableBin(*t, path);
       }
-      return engine_.SaveTableTSV(*t, tok[2], /*write_header=*/true);
+      // Headerless, like the TSV that `load` parses, so a saved table
+      // loads back.
+      return engine_.SaveTableTSV(*t, tok[2], /*write_header=*/false);
     }
     if (cmd == "savegraph") {
       RINGO_RETURN_NOT_OK(NeedArgs(tok, 3, "savegraph <g> <file>"));

@@ -104,9 +104,9 @@ class Ringo {
                         const std::string& value_name) const;
 
   // ------------------------------------------------------ observability
-  // Wall time, peak-RSS delta, and the recorded attributes (rows, edges,
-  // radix passes, ...) of the most recent engine entry point, from the
-  // trace layer's last completed root span. `valid` is false when tracing
+  // Wall time, resident-memory delta, and the recorded attributes (rows,
+  // edges, radix passes, ...) of the most recent engine entry point, from
+  // the trace layer's last completed root span. `valid` is false when tracing
   // is disabled (RINGO_METRICS=off) or nothing ran yet.
   trace::QueryStats LastQueryStats() const;
 

@@ -135,6 +135,11 @@ class Executor {
         return Status::OK();
       }
       case OpKind::kLoad: {
+        if (opts_.load == LoadPolicy::kRefuse) {
+          return Status::PermissionDenied("load('" + n.name +
+                                          "') refused: this caller does "
+                                          "not let scripts read files");
+        }
         // Extension dispatch: ".rtb" maps the binary format (checksummed,
         // zero-copy for encoded columns) and checks the declared schema;
         // everything else parses as TSV.

@@ -28,6 +28,10 @@ struct QueryValue {
   std::shared_ptr<const DirectedGraph> graph;
 };
 
+// What a script's load() may do: open the named file, or fail with
+// Status::PermissionDenied without touching the file system.
+enum class LoadPolicy : char { kAllow, kRefuse };
+
 struct ExecOptions {
   // Pool for loaded tables and produced columns; a fresh pool is created
   // when null and no bound table supplies one.
@@ -35,6 +39,7 @@ struct ExecOptions {
   // External table bindings (kBind nodes), e.g. the serving layer's
   // session table. Must cover every binding the plan was made with.
   std::map<std::string, TablePtr> bindings;
+  LoadPolicy load = LoadPolicy::kAllow;
 };
 
 // Executes the plan and returns the root node's value.

@@ -25,6 +25,10 @@ struct RunOptions {
   std::shared_ptr<StringPool> pool;
   // Tables visible to the script by name without a load(), e.g. {"t", ...}.
   std::map<std::string, TablePtr> bindings;
+  // Whether load() may open files. The serving engine refuses: a served
+  // script could otherwise read any file the server process can and get
+  // its row count and checksum back. Embedders and the CLI load.
+  LoadPolicy load = LoadPolicy::kAllow;
 };
 
 struct RunResult {

@@ -57,6 +57,7 @@ Result<RunResult> RunScript(std::string_view script, const RunOptions& opts) {
   ExecOptions exec_opts;
   exec_opts.pool = opts.pool;
   exec_opts.bindings = opts.bindings;
+  exec_opts.load = opts.load;
   RINGO_ASSIGN_OR_RETURN(QueryValue value, ExecutePlan(plan, exec_opts));
 
   RunResult out;

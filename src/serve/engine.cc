@@ -86,10 +86,12 @@ void RunKernel(const Query& q, const QueryContext& ctx, bool parallel,
       // Scripted query through the declarative front-end. The session
       // table (if any) is visible to the script as `t`; the executor
       // polls the installed cancel token between plan nodes, so the
-      // engine's deadline machinery applies unchanged.
+      // engine's deadline machinery applies unchanged. A served script
+      // reads no server files: load() fails with PermissionDenied.
       query::RunOptions opts;
       opts.pool = ctx.table != nullptr ? ctx.table->pool() : nullptr;
       opts.bindings["t"] = ctx.table;
+      opts.load = query::LoadPolicy::kRefuse;
       Result<query::RunResult> res = query::RunScript(q.script, opts);
       if (!res.ok()) {
         r->status = res.status();

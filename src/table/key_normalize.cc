@@ -28,33 +28,9 @@ std::vector<uint32_t> ByteOrderRanks(const StringPool& pool) {
 
 void NormalizedColumnKeys(const Table& t, int ci, bool ascending,
                           uint64_t* keys) {
-  const Column& c = t.column(ci);
-  const int64_t n = t.NumRows();
-  const uint64_t flip = ascending ? 0 : ~uint64_t{0};
-  switch (c.type()) {
-    case ColumnType::kInt:
-      ParallelFor(0, n, [&](int64_t i) {
-        keys[i] = radix::Int64Key(c.GetInt(i)) ^ flip;
-      });
-      return;
-    case ColumnType::kFloat:
-      ParallelFor(0, n, [&](int64_t i) {
-        keys[i] = radix::FloatKey(c.GetFloat(i)) ^ flip;
-      });
-      return;
-    case ColumnType::kString: {
-      // Cached on the pool behind its version counter: a script of keyed
-      // sorts over one table re-sorts the distinct strings once, not once
-      // per sort.
-      const std::shared_ptr<const std::vector<uint32_t>> ranks =
-          t.pool()->ByteOrderRanks();
-      ParallelFor(0, n, [&](int64_t i) {
-        keys[i] = uint64_t{(*ranks)[c.GetStr(i)]} ^ flip;
-      });
-      return;
-    }
-  }
-  RINGO_CHECK(false) << "unhandled column type";
+  WithNormalizedKey(t, ci, ascending, [&](const auto& key_of) {
+    ParallelFor(0, t.NumRows(), [&](int64_t i) { keys[i] = key_of(i); });
+  });
 }
 
 bool SortedPermByKeys(const Table& t, const std::vector<int>& cols,

@@ -441,22 +441,29 @@ Result<TablePtr> Table::Select(std::string_view col, CmpOp op,
   return GatherRows(keep);
 }
 
+namespace {
+
+// The ascending rows where `pred` holds: flags evaluated in parallel
+// ranges, then compacted like every other select's.
+std::vector<int64_t> RowsWhere(
+    const Table& t, const std::function<bool(const Table&, int64_t)>& pred) {
+  DefaultInitVector<uint8_t> flags(t.NumRows());
+  ParallelForRange(0, t.NumRows(), [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) flags[i] = pred(t, i) ? 1 : 0;
+  });
+  return FlagsToKeep(flags);
+}
+
+}  // namespace
+
 TablePtr Table::SelectRows(
     const std::function<bool(const Table&, int64_t)>& pred) const {
-  std::vector<int64_t> keep;
-  for (int64_t i = 0; i < num_rows_; ++i) {
-    if (pred(*this, i)) keep.push_back(i);
-  }
-  return GatherRows(keep);
+  return GatherRows(RowsWhere(*this, pred));
 }
 
 void Table::SelectRowsInPlace(
     const std::function<bool(const Table&, int64_t)>& pred) {
-  std::vector<int64_t> keep;
-  for (int64_t i = 0; i < num_rows_; ++i) {
-    if (pred(*this, i)) keep.push_back(i);
-  }
-  CompactKeep(keep);
+  CompactKeep(RowsWhere(*this, pred));
 }
 
 // ----------------------------------------------------------------- project
@@ -514,29 +521,8 @@ Result<TablePtr> Table::Unique(const std::vector<std::string>& cols) const {
   RINGO_RETURN_NOT_OK(ResolveColumns(*this, cols, &idx));
   trace::Span span("Table/Unique");
   span.AddAttr("rows", num_rows_);
-  std::vector<int64_t> perm;
-  std::vector<uint8_t> new_run;
-  if (!internal::SortedPermByKeys(*this, idx, {}, &perm, &new_run)) {
-    RowComparator cmp(this, this, idx, idx);
-    perm.resize(num_rows_);
-    std::iota(perm.begin(), perm.end(), 0);
-    ParallelSort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-      const int c = cmp.Compare(a, b);
-      return c != 0 ? c < 0 : a < b;
-    });
-    new_run.assign(num_rows_, 0);
-    for (int64_t i = 0; i < num_rows_; ++i) {
-      new_run[i] = (i == 0 || !cmp.Equal(perm[i - 1], perm[i])) ? 1 : 0;
-    }
-  }
-  // First physical row of each run of equal keys (which is also its
-  // smallest position, thanks to the position tiebreak).
-  std::vector<int64_t> keep;
-  for (int64_t i = 0; i < num_rows_; ++i) {
-    if (new_run[i]) keep.push_back(perm[i]);
-  }
-  std::sort(keep.begin(), keep.end());
-  return GatherRows(keep);
+  // The groups' first rows are ascending: first occurrences in row order.
+  return GatherRows(internal::GroupRows(*this, idx, nullptr).first);
 }
 
 // ---------------------------------------------------------------- internal

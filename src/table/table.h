@@ -175,7 +175,8 @@ class Table {
   // --------------------------------------------------------------- unique
   // New table with the first row of every distinct combination of `cols`
   // (all columns kept, row ids preserved). Order: first occurrences in
-  // original row order.
+  // original row order. Distinct as in GroupByAggregate: one hash pass,
+  // no sort.
   Result<TablePtr> Unique(const std::vector<std::string>& cols) const;
 
   // ----------------------------------------------------------------- join
@@ -216,14 +217,24 @@ class Table {
 
   // -------------------------------------------------------------- groupby
   // Groups by `group_cols` and computes aggregates. Result: group columns
-  // followed by one column per AggSpec. Groups appear in order of first
-  // occurrence.
+  // (each group's first row) followed by one column per AggSpec. Groups
+  // appear in order of first occurrence.
+  //
+  // Rows group when every key cell is equal: ints by value, floats with
+  // all NaNs equal and -0.0 equal to +0.0, strings by bytes. Grouping
+  // hashes the keys in one sequential pass over the rows (keys extracted
+  // in parallel; table/group_by.cc), so it costs O(rows) and no sort.
+  // Aggregates fold each group's cells in row order: float sums round as
+  // a sequential scan does, int sums wrap as uint64, min and max skip NaN
+  // (a group of NaNs reports +inf and -inf), mean is the float sum over
+  // the count, first is the group's first row. Identical at every thread
+  // count.
   Result<TablePtr> GroupByAggregate(const std::vector<std::string>& group_cols,
                                     const std::vector<AggSpec>& aggs) const;
 
   // Assigns each row its group index (dense, by first occurrence) over
-  // `group_cols`; returns the per-row group ids through `out` and the
-  // number of groups.
+  // `group_cols`, with GroupByAggregate's grouping; returns the per-row
+  // group ids through `out` and the number of groups.
   Result<int64_t> GroupIndex(const std::vector<std::string>& group_cols,
                              std::vector<int64_t>* out) const;
 
@@ -260,8 +271,12 @@ class Table {
   TablePtr Head(int64_t n) const;
 
   // The k extreme rows by one column (descending by default — "top"), in
-  // sorted order with position tiebreaks. Equivalent to OrderBy + Head but
-  // uses a partial sort: O(n log k) instead of O(n log n).
+  // sorted order with position tiebreaks: exactly the first k rows of
+  // OrderBy + Head, NaN counting as largest. Bounded selection instead of
+  // a sort: each of RangeParts(n) contiguous parts keeps its best k
+  // candidates, reading every row's sort key on the fly, and the parts'
+  // survivors are radix-sorted. O(n + k x parts) time and O(k x parts)
+  // memory: no n-row key or permutation array unless k is near n.
   Result<TablePtr> TopK(std::string_view col, int64_t k,
                         bool ascending = false) const;
 

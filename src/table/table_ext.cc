@@ -6,9 +6,9 @@
 #include <numeric>
 
 #include "table/key_normalize.h"
-#include "table/row_compare.h"
 #include "table/table.h"
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -21,35 +21,90 @@ TablePtr Table::Head(int64_t n) const {
   return GatherRows(idx);
 }
 
+namespace {
+
+// (key, row) order: the order of a stable sort by key.
+bool KeyRowLess(const KeyRow& a, const KeyRow& b) {
+  return a.key != b.key ? a.key < b.key : a.row < b.row;
+}
+
+// The best k (least by KeyRowLess) of rows [lo, hi) in row order, keyed
+// by key_of(row). Candidates collect in row order until there are 2k;
+// then the k-th least is selected (std::nth_element on a scratch copy),
+// the rest are dropped in place, and from then on a row is a candidate
+// only if its key is below the k-th's, since a later row with an equal
+// key ranks after it. Each trim costs O(k) and follows at least k new
+// candidates, so a part costs O(rows) with O(k) memory.
+template <typename KeyOf>
+std::vector<KeyRow> LeastRows(const KeyOf& key_of, int64_t lo, int64_t hi,
+                              int64_t k) {
+  const int64_t cap = 2 * k;
+  std::vector<KeyRow> cand, scratch;
+  cand.reserve(std::min(cap, hi - lo));
+  bool trimmed = false;
+  uint64_t cutoff = 0;
+  for (int64_t i = lo; i < hi; ++i) {
+    const uint64_t key = key_of(i);
+    if (trimmed && key >= cutoff) continue;
+    cand.push_back({key, i});
+    if (static_cast<int64_t>(cand.size()) == cap && i + 1 < hi) {
+      scratch.assign(cand.begin(), cand.end());
+      std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
+                       scratch.end(), KeyRowLess);
+      const KeyRow kth = scratch[k - 1];
+      // (key, row) pairs are distinct: exactly k are not above the k-th.
+      cand.erase(std::remove_if(cand.begin(), cand.end(),
+                                [&](const KeyRow& c) {
+                                  return KeyRowLess(kth, c);
+                                }),
+                 cand.end());
+      trimmed = true;
+      cutoff = kth.key;
+    }
+  }
+  return cand;
+}
+
+}  // namespace
+
 Result<TablePtr> Table::TopK(std::string_view col, int64_t k,
                              bool ascending) const {
   if (k < 0) {
     return Status::InvalidArgument("TopK requires k >= 0");
   }
   RINGO_ASSIGN_OR_RETURN(const int ci, schema_.FindColumn(col));
-  const std::vector<int> cols{ci};
   const int64_t take = std::min(k, num_rows_);
   trace::Span span("Table/TopK");
   span.AddAttr("rows", num_rows_);
   span.AddAttr("k", take);
-  // Radix path: full distribution sort of (key, row) pairs, then keep the
-  // first `take` — a handful of linear passes beats the O(n log k) heap
-  // partial sort well before n reaches table sizes that matter.
-  std::vector<int64_t> perm;
-  if (internal::SortedPermByKeys(*this, cols, {ascending}, &perm)) {
-    perm.resize(take);
-    return GatherRows(perm);
+  if (take == 0) return GatherRows({});
+  // Each contiguous part keeps its best `take` candidates; concatenated
+  // in part order they are in row order, so the stable radix sort by key
+  // puts them in (key, row) order, the first `take` of a stable sort.
+  const int parts = RangeParts(num_rows_);
+  const std::vector<int64_t> bounds = PartitionRange(num_rows_, parts);
+  std::vector<std::vector<KeyRow>> part_best(parts);
+  internal::WithNormalizedKey(*this, ci, ascending, [&](const auto& key_of) {
+    ParallelFor(0, parts, [&](int64_t p) {
+      part_best[p] = LeastRows(key_of, bounds[p], bounds[p + 1], take);
+    });
+  });
+  std::vector<int64_t> offsets(parts);
+  for (int p = 0; p < parts; ++p) {
+    offsets[p] = static_cast<int64_t>(part_best[p].size());
   }
-  RowComparator cmp(this, this, cols, cols, {ascending});
-  perm.resize(num_rows_);
-  std::iota(perm.begin(), perm.end(), 0);
-  auto less = [&](int64_t a, int64_t b) {
-    const int c = cmp.Compare(a, b);
-    return c != 0 ? c < 0 : a < b;
-  };
-  std::partial_sort(perm.begin(), perm.begin() + take, perm.end(), less);
-  perm.resize(take);
-  return GatherRows(perm);
+  DefaultInitVector<KeyRow> best(ExclusivePrefixSum(offsets));
+  ParallelFor(0, parts, [&](int64_t p) {
+    std::copy(part_best[p].begin(), part_best[p].end(),
+              best.begin() + offsets[p]);
+  });
+  part_best.clear();
+  RadixSortKeyRows(best.data(), static_cast<int64_t>(best.size()));
+  std::vector<int64_t> rows(take);
+  ParallelForRange(0, take, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) rows[i] = best[i].row;
+  });
+  return GatherRows(rows);
 }
 
 Result<TablePtr> Table::Sample(int64_t k, uint64_t seed) const {

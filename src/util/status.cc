@@ -19,6 +19,7 @@ const char* StatusCodeToString(StatusCode code) {
     case StatusCode::kCorruption: return "Corruption";
     case StatusCode::kDeadlineExceeded: return "Deadline exceeded";
     case StatusCode::kOverloaded: return "Overloaded";
+    case StatusCode::kPermissionDenied: return "Permission denied";
   }
   return "Unknown";
 }

@@ -25,6 +25,7 @@ enum class StatusCode : char {
   kCorruption = 9,
   kDeadlineExceeded = 10,
   kOverloaded = 11,
+  kPermissionDenied = 12,
 };
 
 // Returns a stable human-readable name for `code` ("Invalid argument", ...).
@@ -92,6 +93,11 @@ class Status {
   static Status Overloaded(std::string msg) {
     return Status(StatusCode::kOverloaded, std::move(msg));
   }
+  // The caller's policy forbids the operation (e.g. a served script's
+  // load() of a server file); retrying the same request will not help.
+  static Status PermissionDenied(std::string msg) {
+    return Status(StatusCode::kPermissionDenied, std::move(msg));
+  }
 
   bool ok() const { return state_ == nullptr; }
   StatusCode code() const { return state_ ? state_->code : StatusCode::kOk; }
@@ -113,6 +119,9 @@ class Status {
     return code() == StatusCode::kDeadlineExceeded;
   }
   bool IsOverloaded() const { return code() == StatusCode::kOverloaded; }
+  bool IsPermissionDenied() const {
+    return code() == StatusCode::kPermissionDenied;
+  }
 
   // "OK" or "<code name>: <message>".
   std::string ToString() const;

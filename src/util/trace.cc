@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
-#include <sys/resource.h>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -41,12 +42,24 @@ int64_t NowNanos() {
          epoch;
 }
 
-// Peak RSS of the process in KB. getrusage is one cheap syscall (no /proc
-// parse), fine at operator-span granularity.
-int64_t PeakRssKb() {
-  struct rusage ru;
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<int64_t>(ru.ru_maxrss);
+// Current resident set size of the process in KB: the second field of
+// /proc/self/statm (in pages), read with one pread on a descriptor opened
+// once. 0 where the file cannot be read. (The peak from getrusage would
+// stop moving once the process had warmed up.)
+int64_t CurrentRssKb() {
+  static const int fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+  static const int64_t page_kb = ::sysconf(_SC_PAGESIZE) / 1024;
+  if (fd < 0) return 0;
+  char buf[128];
+  const ssize_t len = ::pread(fd, buf, sizeof(buf) - 1, 0);
+  if (len <= 0) return 0;
+  buf[len] = '\0';
+  // "size resident shared text lib data dt": skip the first field.
+  const char* p = buf;
+  while (*p != '\0' && *p != ' ') ++p;
+  int64_t pages = 0;
+  for (++p; *p >= '0' && *p <= '9'; ++p) pages = pages * 10 + (*p - '0');
+  return pages * page_kb;
 }
 
 // Completed spans of one thread. `mu` is uncontended except during an
@@ -118,7 +131,7 @@ Span::Span(const char* name)
       depth_(0) {
   if (!active_) return;
   start_ns_ = NowNanos();
-  start_rss_kb_ = PeakRssKb();
+  start_rss_kb_ = CurrentRssKb();
   depth_ = tls_depth++;
 }
 
@@ -131,7 +144,7 @@ Span::~Span() {
   ev.name = name_;
   ev.start_ns = start_ns_;
   ev.dur_ns = end_ns - start_ns_;
-  ev.rss_delta_kb = PeakRssKb() - start_rss_kb_;
+  ev.rss_delta_kb = CurrentRssKb() - start_rss_kb_;
   ev.depth = depth_;
   ev.int_attrs = std::move(int_attrs_);
   ev.float_attrs = std::move(float_attrs_);

@@ -1,10 +1,10 @@
 // RAII trace spans (DESIGN.md §8): the structured side of Ringo's
 // observability layer. A span brackets one operator (or one phase of an
-// operator), records wall time, the peak-RSS delta across its lifetime,
-// and custom numeric attributes (rows, edges, radix passes, rehash
-// counts), and nests: spans opened while another span is live on the same
-// thread become its children (depth-tracked; the Chrome viewer nests by
-// timestamps).
+// operator), records wall time, the resident-memory change across its
+// lifetime, and custom numeric attributes (rows, edges, radix passes,
+// rehash counts), and nests: spans opened while another span is live on
+// the same thread become its children (depth-tracked; the Chrome viewer
+// nests by timestamps).
 //
 //   Result<TablePtr> Table::OrderBy(...) {
 //     RINGO_TRACE_SPAN("Table/OrderBy");
@@ -74,7 +74,11 @@ struct SpanEvent {
   std::string name;
   int64_t start_ns = 0;      // Relative to the process trace epoch.
   int64_t dur_ns = 0;
-  int64_t rss_delta_kb = 0;  // Peak-RSS growth while the span was open.
+  // Change of the process's current resident set size (KB) from the
+  // span's open to its close: memory touched and not yet freed. Negative
+  // when the span freed more than it touched. Other threads' allocations
+  // in that window count too.
+  int64_t rss_delta_kb = 0;
   int tid = 0;               // Dense per-thread index.
   int depth = 0;             // 0 = root span.
   std::vector<std::pair<std::string, int64_t>> int_attrs;

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "algo/algo_view.h"
 #include "algo/bfs_engine.h"
 #include "algo/pagerank.h"
+#include "query/query.h"
 #include "serve/engine.h"
 #include "serve/query_mix.h"
 #include "serve/session.h"
@@ -320,6 +323,35 @@ TEST_F(ServingTest, ScriptErrorsAreTypedWithPosition) {
   EXPECT_NE(missing.status.message().find("undefined variable 't'"),
             std::string::npos)
       << missing.status.ToString();
+}
+
+// A served script reads no server files: load() of an existing file fails
+// with a typed PermissionDenied, while the same script through RunScript
+// (what embedders and the CLI call) loads it.
+TEST_F(ServingTest, ServedScriptLoadIsRefused) {
+  const std::string path = ::testing::TempDir() + "/served_load.tsv";
+  {
+    std::ofstream f(path);
+    f << "1\t2\n3\t4\n";
+  }
+  const std::string script = "load(\"" + path + "\", \"a:int,b:int\")";
+  const DirectedGraph g = testing::RandomDirected(10, 20, 0x5ee);
+  const TablePtr table = testing::MakeIntTable({"src", "dst"}, {{1, 2}});
+  Session session("s", &g, table);
+  Engine engine({.workers = 1, .queue_capacity = 8});
+
+  QueryResult r =
+      engine.Submit(session, {.kind = QueryKind::kScript, .script = script})
+          .get();
+  EXPECT_TRUE(r.status.IsPermissionDenied()) << r.status.ToString();
+  EXPECT_EQ(r.rows, 0);
+  EXPECT_EQ(r.checksum, 0.0);
+
+  Result<query::RunResult> direct = query::RunScript(script);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct->rows, 2);
+  EXPECT_EQ(direct->checksum, 1.0 + 2.0 + 3.0 + 4.0);
+  std::remove(path.c_str());
 }
 
 TEST_F(ServingTest, ScriptDeadlineExpiredInQueueIsAMiss) {

@@ -10,6 +10,8 @@
 //     equal the oracle cell for cell (float bit patterns) and in row ids.
 //     The selects run on a reversed copy of the generated table, so row
 //     ids differ from physical positions.
+//   * SelectRows and SelectRowsInPlace with general row predicates,
+//     against a serial filter calling the same predicate row by row.
 //   * Row ids after GatherRows (through OrderBy), after Join (fresh ids
 //     and provenance columns), and after bulk appends sealed with
 //     SealAppendedRows, before and after an in-place select.
@@ -21,10 +23,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stress/stress_support.h"
@@ -291,6 +296,53 @@ void CheckSelects(const TablePtr& src, const Ref& ref,
   }
 }
 
+// SelectRows and SelectRowsInPlace (general row predicates) on `src` at
+// 1..4 threads against a serial filter: the predicate called on every row
+// in order on one thread.
+void CheckRowPredicates(const TablePtr& src, const Ref& ref,
+                        const std::vector<int64_t>& src_ids,
+                        const std::string& label) {
+  using RowPred = std::function<bool(const Table&, int64_t)>;
+  const int rnd = *src->FindColumn("rnd");
+  const int f = *src->FindColumn("f");
+  const int s = *src->FindColumn("s");
+  const std::vector<std::pair<std::string, RowPred>> preds = {
+      {"rnd_mod3",
+       [rnd](const Table& t, int64_t r) {
+         return t.column(rnd).GetInt(r) % 3 == 0;
+       }},
+      {"f_nan_or_negative",
+       [f](const Table& t, int64_t r) {
+         const double v = t.column(f).GetFloat(r);
+         return std::isnan(v) || v < 0;
+       }},
+      {"s_empty",
+       [s](const Table& t, int64_t r) {
+         return t.pool()->Get(t.column(s).GetStr(r)).empty();
+       }},
+  };
+  for (const auto& [name, pred] : preds) {
+    std::vector<int64_t> want, want_ids;
+    for (int64_t r = 0; r < src->NumRows(); ++r) {
+      if (pred(*src, r)) {
+        want.push_back(r);
+        want_ids.push_back(src_ids[r]);
+      }
+    }
+    for (int threads = 1; threads <= kMaxThreads; ++threads) {
+      ScopedNumThreads scope(threads);
+      const std::string what =
+          label + " " + name + " @" + std::to_string(threads) + " threads";
+      ExpectRows(*src->SelectRows(pred), ref, want, want_ids, 0,
+                 what + ": SelectRows");
+      auto inplace = std::make_shared<Table>(*src);
+      inplace->SelectRowsInPlace(pred);
+      ExpectRows(*inplace, ref, want, want_ids, 0,
+                 what + ": SelectRowsInPlace");
+    }
+  }
+}
+
 class SelectStress : public ::testing::TestWithParam<int64_t> {};
 
 // Builds the generated table, reverses it through OrderBy (GatherRows;
@@ -329,6 +381,8 @@ TEST_P(SelectStress, MatchesOracleAtEveryThreadCount) {
   }
   CheckSelects(encoded, rev, rev_ids, short_list,
                "encoded n=" + std::to_string(n));
+  CheckRowPredicates(reversed, rev, rev_ids, "plain n=" + std::to_string(n));
+  CheckRowPredicates(encoded, rev, rev_ids, "encoded n=" + std::to_string(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SelectStress,

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -740,6 +742,200 @@ inline std::vector<int64_t> ReferenceSelect(const std::vector<RefColumn>& cols,
     if (any) keep.push_back(r);
   }
   return keep;
+}
+
+// ------------------------------------------ grouping and top-k oracles
+// These read tables only through the column element accessors (GetInt,
+// GetFloat, GetStr) and the pool's bytes, sharing no code with the
+// grouping kernel or the sort-key normalization.
+
+// Row r's cell of column c as a grouping key: ints by value, floats with
+// every NaN one key and -0.0 equal to +0.0 ("%a" spells every other
+// double exactly), strings by their bytes.
+inline std::string RefGroupCell(const Table& t, int c, int64_t r) {
+  const Column& col = t.column(c);
+  switch (col.type()) {
+    case ColumnType::kInt:
+      return "i" + std::to_string(col.GetInt(r));
+    case ColumnType::kFloat: {
+      const double v = col.GetFloat(r);
+      if (std::isnan(v)) return "fnan";
+      if (v == 0.0) return "f0";
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "f%a", v);
+      return buf;
+    }
+    case ColumnType::kString:
+      return "s" + std::string(t.pool()->Get(col.GetStr(r)));
+  }
+  return {};
+}
+
+// Groups of t's rows over columns `cols`, numbered by first occurrence
+// through a std::map over each row's key tuple.
+struct RefGroups {
+  std::vector<int64_t> row_group;  // Each row's group.
+  std::vector<int64_t> first;      // Each group's first row.
+  std::vector<int64_t> count;      // Each group's number of rows.
+};
+
+inline RefGroups ReferenceGroups(const Table& t, const std::vector<int>& cols) {
+  RefGroups g;
+  std::map<std::vector<std::string>, int64_t> ids;
+  std::vector<std::string> key(cols.size());
+  for (int64_t r = 0; r < t.NumRows(); ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      key[c] = RefGroupCell(t, cols[c], r);
+    }
+    const auto [it, fresh] =
+        ids.emplace(key, static_cast<int64_t>(g.first.size()));
+    if (fresh) {
+      g.first.push_back(r);
+      g.count.push_back(0);
+    }
+    ++g.count[it->second];
+    g.row_group.push_back(it->second);
+  }
+  return g;
+}
+
+// GroupByAggregate's contract as reference columns: the key columns'
+// cells at each group's first row, then one column per aggregate, which
+// folds each group's cells in row order:
+//   count;
+//   sum: ints add with uint64 wrap-around, floats add from +0.0;
+//   min / max: replace when `<` / `>` holds, from +inf / -inf (INT64_MAX /
+//     INT64_MIN for ints); NaN never compares, so a group of NaNs keeps
+//     the start value;
+//   mean: the float sum (ints widened) over the count;
+//   first: the cell at the group's first row.
+inline std::vector<RefColumn> ReferenceGroupBy(
+    const Table& t, const std::vector<std::string>& keys,
+    const std::vector<AggSpec>& aggs) {
+  std::vector<int> kidx;
+  for (const std::string& k : keys) kidx.push_back(*t.FindColumn(k));
+  const RefGroups g = ReferenceGroups(t, kidx);
+  const int64_t groups = static_cast<int64_t>(g.first.size());
+  std::vector<RefColumn> out;
+  auto push_cell = [&](RefColumn* rc, const Column& col, int64_t r) {
+    switch (col.type()) {
+      case ColumnType::kInt: rc->ints.push_back(col.GetInt(r)); break;
+      case ColumnType::kFloat: rc->floats.push_back(col.GetFloat(r)); break;
+      case ColumnType::kString:
+        rc->strs.emplace_back(t.pool()->Get(col.GetStr(r)));
+        break;
+    }
+  };
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const Column& col = t.column(kidx[k]);
+    RefColumn rc{keys[k], col.type(), {}, {}, {}};
+    for (const int64_t r : g.first) push_cell(&rc, col, r);
+    out.push_back(std::move(rc));
+  }
+  for (const AggSpec& a : aggs) {
+    if (a.fn == AggFn::kCount) {
+      out.push_back({a.output_name, ColumnType::kInt, g.count, {}, {}});
+      continue;
+    }
+    const Column& col = t.column(*t.FindColumn(a.column));
+    if (a.fn == AggFn::kFirst) {
+      RefColumn rc{a.output_name, col.type(), {}, {}, {}};
+      for (const int64_t r : g.first) push_cell(&rc, col, r);
+      out.push_back(std::move(rc));
+      continue;
+    }
+    const bool is_int = col.type() == ColumnType::kInt;
+    std::vector<uint64_t> isum(groups, 0);
+    std::vector<int64_t> imin(groups, std::numeric_limits<int64_t>::max());
+    std::vector<int64_t> imax(groups, std::numeric_limits<int64_t>::min());
+    std::vector<double> fsum(groups, 0.0);
+    std::vector<double> fmin(groups, std::numeric_limits<double>::infinity());
+    std::vector<double> fmax(groups, -std::numeric_limits<double>::infinity());
+    for (int64_t r = 0; r < t.NumRows(); ++r) {
+      const int64_t grp = g.row_group[r];
+      if (is_int) {
+        const int64_t v = col.GetInt(r);
+        isum[grp] += static_cast<uint64_t>(v);
+        if (v < imin[grp]) imin[grp] = v;
+        if (v > imax[grp]) imax[grp] = v;
+        fsum[grp] += static_cast<double>(v);
+      } else {
+        const double v = col.GetFloat(r);
+        fsum[grp] += v;
+        if (v < fmin[grp]) fmin[grp] = v;
+        if (v > fmax[grp]) fmax[grp] = v;
+      }
+    }
+    RefColumn rc{a.output_name,
+                 is_int && a.fn != AggFn::kMean ? ColumnType::kInt
+                                                : ColumnType::kFloat,
+                 {}, {}, {}};
+    for (int64_t grp = 0; grp < groups; ++grp) {
+      switch (a.fn) {
+        case AggFn::kSum:
+          if (is_int) {
+            rc.ints.push_back(static_cast<int64_t>(isum[grp]));
+          } else {
+            rc.floats.push_back(fsum[grp]);
+          }
+          break;
+        case AggFn::kMin:
+          if (is_int) {
+            rc.ints.push_back(imin[grp]);
+          } else {
+            rc.floats.push_back(fmin[grp]);
+          }
+          break;
+        case AggFn::kMax:
+          if (is_int) {
+            rc.ints.push_back(imax[grp]);
+          } else {
+            rc.floats.push_back(fmax[grp]);
+          }
+          break;
+        case AggFn::kMean:
+          rc.floats.push_back(fsum[grp] / static_cast<double>(g.count[grp]));
+          break;
+        default:
+          break;
+      }
+    }
+    out.push_back(std::move(rc));
+  }
+  return out;
+}
+
+// TopK's order on column c: ints by value, strings by bytes, floats with
+// -0.0 tied to +0.0 and NaN after every number (all NaNs tied).
+inline bool RefCellLess(const Table& t, int c, int64_t a, int64_t b) {
+  const Column& col = t.column(c);
+  switch (col.type()) {
+    case ColumnType::kInt:
+      return col.GetInt(a) < col.GetInt(b);
+    case ColumnType::kFloat: {
+      const double va = col.GetFloat(a), vb = col.GetFloat(b);
+      const bool na = std::isnan(va), nb = std::isnan(vb);
+      if (na || nb) return !na && nb;
+      return va < vb;
+    }
+    case ColumnType::kString:
+      return t.pool()->Get(col.GetStr(a)) < t.pool()->Get(col.GetStr(b));
+  }
+  return false;
+}
+
+// TopK's contract: the first min(k, n) rows of a std::stable_sort of the
+// rows by column c, ascending or descending (the comparison reversed, so
+// NaN comes first), ties in row order.
+inline std::vector<int64_t> ReferenceTopK(const Table& t, int c, int64_t k,
+                                          bool ascending) {
+  std::vector<int64_t> rows(t.NumRows());
+  for (int64_t r = 0; r < t.NumRows(); ++r) rows[r] = r;
+  std::stable_sort(rows.begin(), rows.end(), [&](int64_t a, int64_t b) {
+    return ascending ? RefCellLess(t, c, a, b) : RefCellLess(t, c, b, a);
+  });
+  rows.resize(std::min<int64_t>(k, t.NumRows()));
+  return rows;
 }
 
 }  // namespace testing

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/parallel.h"
 #include "util/trace.h"
@@ -126,6 +127,28 @@ TEST_F(MetricsTest, LastRootSpanCarriesAttrs) {
   ASSERT_EQ(q.attrs.size(), 1u);
   EXPECT_EQ(q.attrs[0].first, "rows");
   EXPECT_EQ(q.attrs[0].second, 123);
+}
+
+// A span's memory delta follows the current RSS, not the process's peak:
+// after a larger block has been touched and freed, a span that touches
+// 64 MB still reports them. (With the peak, it reported 0.)
+TEST_F(MetricsTest, SpanRssDeltaFollowsCurrentRss) {
+  constexpr size_t kMb = size_t{1} << 20;
+  volatile char sink = 0;
+  {
+    std::vector<char> big(128 * kMb, 1);
+    sink = sink + big[64 * kMb];
+  }
+  std::vector<char> block;
+  {
+    trace::Span span("test/touch64");
+    block.assign(64 * kMb, 2);
+    sink = sink + block[32 * kMb];
+  }
+  const trace::QueryStats q = trace::LastRootSpan();
+  ASSERT_TRUE(q.valid);
+  EXPECT_EQ(q.name, "test/touch64");
+  EXPECT_GE(q.rss_delta_kb, 32 * 1024);
 }
 
 TEST_F(MetricsTest, FlatStatsAggregateByName) {

@@ -34,6 +34,7 @@ TEST(StatusTest, EachFactoryMapsToItsCode) {
   EXPECT_TRUE(Status::Internal("m").IsInternal());
   EXPECT_TRUE(Status::DeadlineExceeded("m").IsDeadlineExceeded());
   EXPECT_TRUE(Status::Overloaded("m").IsOverloaded());
+  EXPECT_TRUE(Status::PermissionDenied("m").IsPermissionDenied());
 }
 
 TEST(StatusTest, ServingCodesRenderTheirNames) {
@@ -42,6 +43,8 @@ TEST(StatusTest, ServingCodesRenderTheirNames) {
   EXPECT_EQ(Status::Overloaded("full").ToString(), "Overloaded: full");
   EXPECT_FALSE(Status::DeadlineExceeded("late").IsOverloaded());
   EXPECT_FALSE(Status::Overloaded("full").IsDeadlineExceeded());
+  EXPECT_EQ(Status::PermissionDenied("no files").ToString(),
+            "Permission denied: no files");
 }
 
 TEST(StatusTest, CopyAndMovePreserveState) {
