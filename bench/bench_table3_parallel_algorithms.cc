@@ -121,7 +121,8 @@ NodeInts SeqBaselineBfs(const DirectedGraph& g, NodeId src) {
     const NodeId u = queue.front();
     queue.pop_front();
     const int64_t du = *dist.Find(u);
-    for (NodeId v : g.GetNode(u)->out) {
+    const auto node = g.GetNode(u);
+    for (NodeId v : node->out) {
       if (dist.Insert(v, du + 1).second) queue.push_back(v);
     }
   }
@@ -137,7 +138,7 @@ NodeId BfsSource(const Dataset& d) {
   // high-degree sources the paper traverses from.
   NodeId best = -1;
   int64_t best_deg = -1;
-  d.graph->ForEachNode([&](NodeId id, const DirectedGraph::NodeData& nd) {
+  d.graph->ForEachNode([&](NodeId id, const DirectedGraph::NodeView& nd) {
     const int64_t deg = static_cast<int64_t>(nd.out.size());
     if (deg > best_deg || (deg == best_deg && id < best)) {
       best = id;

@@ -33,28 +33,41 @@ void SetCompactionFraction(double fraction) {
 
 namespace {
 
+// Every node's runs in dense-index order: one node-table lookup per node
+// for all directions.
+template <typename Graph>
+DefaultInitVector<typename Graph::NodeView> NodeViews(const Graph& g,
+                                                      const NodeIndex& ni) {
+  DefaultInitVector<typename Graph::NodeView> views(ni.size());
+  ParallelFor(0, ni.size(),
+              [&](int64_t i) { views[i] = *g.GetNode(ni.IdOf(i)); });
+  return views;
+}
+
 // Counts degrees, prefix-sums them into offsets, and fills the neighbor
-// array with dense indices. `adj` maps a NodeData pointer to its sorted
-// adjacency vector; translation through the monotone id->index map keeps
-// each span ascending, so no per-node re-sort is needed.
-template <typename Graph, typename AdjFn>
-void FillCsr(const Graph& g, const NodeIndex& ni, const AdjFn& adj,
-             std::vector<int64_t>* offsets, std::vector<int64_t>* nbrs) {
+// array with dense indices. `run` picks a direction's run out of a node
+// view; translation through the monotone id->index map keeps each span
+// ascending, so no per-node re-sort is needed. A graph built in bulk holds
+// its runs back to back in ascending id order, so this reads its arena
+// front to back.
+template <typename Views, typename RunFn>
+void FillCsr(const Views& views, const NodeIndex& ni, const RunFn& run,
+             DefaultInitVector<int64_t>* offsets,
+             DefaultInitVector<int64_t>* nbrs) {
   const int64_t n = ni.size();
-  offsets->assign(n + 1, 0);
-  std::vector<const std::vector<NodeId>*> lists(n);
+  offsets->resize(n + 1);
   ParallelFor(0, n, [&](int64_t i) {
-    lists[i] = &adj(g.GetNode(ni.IdOf(i)));
-    (*offsets)[i] = static_cast<int64_t>(lists[i]->size());
+    (*offsets)[i] = static_cast<int64_t>(run(views[i]).size());
   });
-  // offsets holds degrees in [0, n) and 0 at n; the exclusive scan turns it
-  // into the n+1 CSR offsets with the total at offsets[n].
+  // offsets holds degrees in [0, n); with 0 at n the exclusive scan turns
+  // it into the n+1 CSR offsets with the total at offsets[n].
+  (*offsets)[n] = 0;
   const int64_t total = ExclusivePrefixSum(offsets->data(), offsets->data(),
                                            n + 1);
   nbrs->resize(total);
   ParallelForDynamic(0, n, [&](int64_t i) {
     int64_t pos = (*offsets)[i];
-    for (NodeId v : *lists[i]) (*nbrs)[pos++] = ni.IndexOf(v);
+    for (const NodeId v : run(views[i])) (*nbrs)[pos++] = ni.IndexOf(v);
   });
 }
 
@@ -87,35 +100,10 @@ std::vector<EdgeOp> NetOps(std::vector<EdgeOp> ops) {
   return net;
 }
 
-// Merges a snapshot span with a node's sorted net ops into `dst`. Inserts
-// are absent from `src` and delete tombstones present (ops are net against
-// the snapshot), so this is one exact-size forward pass; a tombstone match
-// consumes the base entry.
-void MergeRunInto(std::span<const int64_t> src, const EdgeOp* b,
-                  const EdgeOp* e, int64_t* dst) {
-  size_t i = 0;
-  const EdgeOp* o = b;
-  while (i < src.size() || o != e) {
-    if (o == e) {
-      *dst++ = src[i++];
-    } else if (i == src.size()) {
-      *dst++ = o->v;
-      ++o;
-    } else if (src[i] < o->v) {
-      *dst++ = src[i++];
-    } else if (src[i] == o->v) {
-      ++i;  // Tombstone annihilates the base entry.
-      ++o;
-    } else {
-      *dst++ = o->v;
-      ++o;
-    }
-  }
-}
-
-template <typename T>
-int64_t VecBytes(const std::vector<T>& v) {
-  return static_cast<int64_t>(v.capacity() * sizeof(T));
+template <typename Vec>
+int64_t VecBytes(const Vec& v) {
+  return static_cast<int64_t>(v.capacity() *
+                              sizeof(typename Vec::value_type));
 }
 
 }  // namespace
@@ -137,7 +125,8 @@ int64_t AlgoView::MemoryUsageBytes() const {
 }
 
 NbrSpan AlgoView::DecodeBase(const compactcsr::CompressedDir& d,
-                             const std::vector<int64_t>& offsets, int64_t i) {
+                             const DefaultInitVector<int64_t>& offsets,
+                             int64_t i) {
   const int64_t deg = offsets[i + 1] - offsets[i];
   if (deg == 0) return {};
   compactcsr::BufRef buf =
@@ -155,27 +144,16 @@ std::shared_ptr<AlgoView> AlgoView::BuildFull(const Graph& g) {
   base->ni = NodeIndex::FromGraph(g);
   constexpr bool kDirected = std::is_same_v<Graph, DirectedGraph>;
   view->directed_ = kDirected;
+  const auto views = NodeViews(g, base->ni);
   if constexpr (kDirected) {
-    FillCsr(
-        g, base->ni,
-        [](const DirectedGraph::NodeData* nd) -> const std::vector<NodeId>& {
-          return nd->out;
-        },
-        &base->out_offsets, &base->out_nbrs);
-    FillCsr(
-        g, base->ni,
-        [](const DirectedGraph::NodeData* nd) -> const std::vector<NodeId>& {
-          return nd->in;
-        },
-        &base->in_offsets, &base->in_nbrs);
+    FillCsr(views, base->ni, [](const auto& nd) { return nd.out; },
+            &base->out_offsets, &base->out_nbrs);
+    FillCsr(views, base->ni, [](const auto& nd) { return nd.in; },
+            &base->in_offsets, &base->in_nbrs);
     view->num_in_arcs_ = static_cast<int64_t>(base->in_nbrs.size());
   } else {
-    FillCsr(
-        g, base->ni,
-        [](const UndirectedGraph::NodeData* nd) -> const std::vector<NodeId>& {
-          return nd->nbrs;
-        },
-        &base->out_offsets, &base->out_nbrs);
+    FillCsr(views, base->ni, [](const auto& nd) { return nd.nbrs; },
+            &base->out_offsets, &base->out_nbrs);
   }
   view->num_out_arcs_ = static_cast<int64_t>(base->out_nbrs.size());
   view->base_nodes_ = base->ni.size();
@@ -183,10 +161,10 @@ std::shared_ptr<AlgoView> AlgoView::BuildFull(const Graph& g) {
     // Freeze the compact layout into this base: varint delta streams
     // replace the flat payloads, element offsets stay for O(1) degrees.
     base->out_c = compactcsr::Compress(base->out_offsets, base->out_nbrs);
-    std::vector<int64_t>().swap(base->out_nbrs);
+    DefaultInitVector<int64_t>().swap(base->out_nbrs);
     if (kDirected) {
       base->in_c = compactcsr::Compress(base->in_offsets, base->in_nbrs);
-      std::vector<int64_t>().swap(base->in_nbrs);
+      DefaultInitVector<int64_t>().swap(base->in_nbrs);
     }
     RINGO_COUNTER_ADD("algo_view/compress", 1);
   }
@@ -271,8 +249,8 @@ void AlgoView::PatchDirection(const AlgoView& prev, bool in_dir,
     if (grp < 0) {
       std::copy(src.begin(), src.end(), dst);
     } else {
-      MergeRunInto(src, ops.data() + groups[grp], ops.data() + groups[grp + 1],
-                   dst);
+      edgebatch::MergeRunInto(src, ops.data() + groups[grp],
+                              ops.data() + groups[grp + 1], dst);
     }
   });
 }
@@ -324,7 +302,7 @@ std::shared_ptr<const AlgoView> AlgoView::ApplyDelta(
       rev_delta += o.op;
     } else if (ui != vi) {
       // Undirected: the edge lands in both endpoints' spans (self-loops
-      // once), mirroring the adjacency vectors.
+      // once), mirroring the graph's adjacency runs.
       fwd.push_back({vi, ui, o.op});
       fwd_delta += o.op;
     }

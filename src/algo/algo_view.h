@@ -2,7 +2,7 @@
 // graph behind its mutation stamp (DESIGN.md §9, §11, §12).
 //
 // The dynamic representations (hash table of nodes, sorted adjacency
-// vectors) pay a hash probe per edge access; traversal cost is dominated by
+// runs) pay a hash probe per edge access; traversal cost is dominated by
 // that machinery, not the algorithm. AlgoView materializes the graph once
 // into a NodeIndex (ascending-id dense numbering) plus offset+neighbor
 // arrays, so every traversal-style algorithm runs over flat int64 arrays.
@@ -33,7 +33,7 @@
 // Layout invariants (identical for base spans and patch runs):
 //   * dense index i corresponds to the i-th smallest node id;
 //   * Out(i)/In(i) are ascending spans of dense indices (the adjacency
-//     vectors are id-sorted and the id->index map is monotone);
+//     runs are id-sorted and the id->index map is monotone);
 //   * undirected graphs store one neighbor array; In(i) == Out(i).
 // Delta-patched views share the base arrays of the snapshot they were
 // patched from, and — unless the batch created nodes — its NodeIndex too
@@ -62,6 +62,7 @@
 #include "graph/delta_journal.h"
 #include "graph/directed_graph.h"
 #include "graph/undirected_graph.h"
+#include "util/default_init.h"
 
 namespace ringo {
 
@@ -180,7 +181,7 @@ class AlgoView {
   bool directed() const { return directed_; }
   int64_t NumNodes() const { return node_index().size(); }
   // Stored arcs: directed edges once per direction array; undirected edges
-  // twice (self-loops once), matching the adjacency vectors.
+  // twice (self-loops once), matching the adjacency runs.
   int64_t NumOutArcs() const { return num_out_arcs_; }
   int64_t NumInArcs() const { return directed_ ? num_in_arcs_ : num_out_arcs_; }
 
@@ -347,10 +348,11 @@ class AlgoView {
   // streams in *_c (the vectors are left empty).
   struct BaseCsr {
     NodeIndex ni;
-    std::vector<int64_t> out_offsets;  // n+1 entries.
-    std::vector<int64_t> out_nbrs;
-    std::vector<int64_t> in_offsets;   // Empty for undirected views.
-    std::vector<int64_t> in_nbrs;
+    // Sized for overwrite: the build writes every cell in parallel.
+    DefaultInitVector<int64_t> out_offsets;  // n+1 entries.
+    DefaultInitVector<int64_t> out_nbrs;
+    DefaultInitVector<int64_t> in_offsets;   // Empty for undirected views.
+    DefaultInitVector<int64_t> in_nbrs;
     compactcsr::CompressedDir out_c;
     compactcsr::CompressedDir in_c;
 
@@ -385,7 +387,8 @@ class AlgoView {
 
   // Decodes base run i of a compressed direction into pooled scratch.
   static NbrSpan DecodeBase(const compactcsr::CompressedDir& d,
-                            const std::vector<int64_t>& offsets, int64_t i);
+                            const DefaultInitVector<int64_t>& offsets,
+                            int64_t i);
 
   // Full CSR materialization without counters (Build and the compaction
   // path wrap it with the right one).

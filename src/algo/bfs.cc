@@ -125,9 +125,9 @@ int64_t BfsDepth(const UndirectedGraph& g, NodeId src) {
 namespace {
 
 // Shared iterative DFS skeleton; emits preorder or postorder. Each frame
-// caches its node's out-vector (NodeData pointers are stable while the
-// graph is const), so the node hash lookup happens once per push instead
-// of twice per loop iteration.
+// caches its node's out-run (spans stay valid while the graph is not
+// mutated), so the node hash lookup happens once per push instead of
+// twice per loop iteration.
 std::vector<NodeId> DfsOrder(const DirectedGraph& g, NodeId src,
                              bool preorder) {
   if (!g.HasNode(src)) return {};
@@ -135,20 +135,20 @@ std::vector<NodeId> DfsOrder(const DirectedGraph& g, NodeId src,
   FlatHashSet<NodeId> visited;
   struct Frame {
     NodeId u;
-    const std::vector<NodeId>* out;  // Sorted: ascending-id children.
+    std::span<const NodeId> out;  // Sorted: ascending-id children.
     size_t child;
   };
-  std::vector<Frame> stack{{src, &g.GetNode(src)->out, 0}};
+  std::vector<Frame> stack{{src, g.GetNode(src)->out, 0}};
   visited.Insert(src);
   if (preorder) order.push_back(src);
   while (!stack.empty()) {
     Frame& f = stack.back();
     bool descended = false;
-    while (f.child < f.out->size()) {
-      const NodeId v = (*f.out)[f.child++];
+    while (f.child < f.out.size()) {
+      const NodeId v = f.out[f.child++];
       if (visited.Insert(v)) {
         if (preorder) order.push_back(v);
-        stack.push_back({v, &g.GetNode(v)->out, 0});
+        stack.push_back({v, g.GetNode(v)->out, 0});
         descended = true;
         break;
       }

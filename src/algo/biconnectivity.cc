@@ -13,7 +13,8 @@ Biconnectivity FindCutPointsAndBridges(const UndirectedGraph& g) {
   // Dense adjacency without self-loops.
   std::vector<std::vector<int64_t>> adj(n);
   for (int64_t i = 0; i < n; ++i) {
-    for (NodeId v : g.GetNode(ni.IdOf(i))->nbrs) {
+    const auto node = g.GetNode(ni.IdOf(i));
+    for (NodeId v : node->nbrs) {
       const int64_t j = ni.IndexOf(v);
       if (j != i) adj[i].push_back(j);
     }

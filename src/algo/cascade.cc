@@ -51,7 +51,8 @@ Result<CascadeResult> IndependentCascade(const DirectedGraph& g,
     ++round;
     std::vector<NodeId> next;
     for (NodeId u : frontier) {
-      for (NodeId v : g.GetNode(u)->out) {
+      const auto node = g.GetNode(u);
+      for (NodeId v : node->out) {
         if (round_of.Contains(v)) continue;
         double p = default_p;
         if (weights != nullptr) {
@@ -153,7 +154,8 @@ Result<SirResult> SirSimulation(const DirectedGraph& g,
     std::vector<NodeId> still_infected;
     std::vector<NodeId> fresh;
     for (NodeId u : infected) {
-      for (NodeId v : g.GetNode(u)->out) {
+      const auto node = g.GetNode(u);
+      for (NodeId v : node->out) {
         int64_t& sv = state.GetOrInsert(v);  // Absent == susceptible.
         if (sv == kSusceptible && rng.Bernoulli(beta)) {
           sv = kInfected;
@@ -175,7 +177,7 @@ Result<SirResult> SirSimulation(const DirectedGraph& g,
 
   // Emit the per-node outcome over all graph nodes.
   out.ever_infected.reserve(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     const int64_t* s = state.Find(id);
     out.ever_infected.emplace_back(
         id, (s != nullptr && *s != kSusceptible) ? 1 : 0);

@@ -50,8 +50,8 @@ int64_t RunBytes(const int64_t* nbrs, int64_t deg) {
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
-CompressedDir Compress(const std::vector<int64_t>& offsets,
-                       const std::vector<int64_t>& nbrs) {
+CompressedDir Compress(std::span<const int64_t> offsets,
+                       std::span<const int64_t> nbrs) {
   const int64_t n = static_cast<int64_t>(offsets.size()) - 1;
   CompressedDir d;
   std::vector<int64_t> sizes(n + 1, 0);

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -82,8 +83,8 @@ struct CompressedDir {
 // Compresses a plain CSR direction (offsets: n+1 entries, nbrs: ascending
 // runs). Two parallel passes: per-node byte sizing + prefix sum, then
 // independent per-node encodes.
-CompressedDir Compress(const std::vector<int64_t>& offsets,
-                       const std::vector<int64_t>& nbrs);
+CompressedDir Compress(std::span<const int64_t> offsets,
+                       std::span<const int64_t> nbrs);
 
 // Decodes `count` values of one varint delta stream into dst.
 void DecodeRun(const uint8_t* src, int64_t count, int64_t* dst);

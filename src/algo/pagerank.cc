@@ -217,7 +217,8 @@ Result<NodeValues> WeightedPageRank(const DirectedGraph& g,
   std::vector<double> in_prob(in_offsets[n]);
   std::vector<double> out_total(n, 0.0);
   for (int64_t u = 0; u < n; ++u) {
-    for (NodeId v : g.GetNode(ni.IdOf(u))->out) {
+    const auto node = g.GetNode(ni.IdOf(u));
+    for (NodeId v : node->out) {
       const double wt = w.Get(ni.IdOf(u), v);
       if (wt < 0) {
         return Status::InvalidArgument("negative edge weight in PageRank");
@@ -229,7 +230,8 @@ Result<NodeValues> WeightedPageRank(const DirectedGraph& g,
     std::vector<int64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
     for (int64_t u = 0; u < n; ++u) {
       const NodeId uid = ni.IdOf(u);
-      for (NodeId vid : g.GetNode(uid)->out) {
+      const auto node = g.GetNode(uid);
+      for (NodeId vid : node->out) {
         const int64_t v = ni.IndexOf(vid);
         const int64_t slot = cursor[v]++;
         in_nbrs[slot] = u;

@@ -17,7 +17,7 @@ Result<std::vector<NodeId>> RandomWalk(const DirectedGraph& g, NodeId start,
   std::vector<NodeId> walk{start};
   NodeId cur = start;
   for (int64_t i = 0; i < length; ++i) {
-    const auto& out = g.GetNode(cur)->out;
+    const std::span<const NodeId> out = g.GetNode(cur)->out;
     if (out.empty()) break;
     cur = out[rng.UniformInt(0, static_cast<int64_t>(out.size()) - 1)];
     walk.push_back(cur);
@@ -47,7 +47,7 @@ Result<NodeValues> RandomWalkScores(const DirectedGraph& g, NodeId seed_node,
       ++visits.GetOrInsert(cur);
       ++total;
       if (!rng.Bernoulli(damping)) break;  // Teleport back to the seed.
-      const auto& out = g.GetNode(cur)->out;
+      const std::span<const NodeId> out = g.GetNode(cur)->out;
       if (out.empty()) break;  // Dangling: restart.
       cur = out[rng.UniformInt(0, static_cast<int64_t>(out.size()) - 1)];
     }

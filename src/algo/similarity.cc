@@ -11,8 +11,8 @@ namespace {
 std::vector<NodeId> CleanNbrs(const UndirectedGraph& g, NodeId u,
                               NodeId other) {
   std::vector<NodeId> out;
-  const UndirectedGraph::NodeData* nd = g.GetNode(u);
-  if (nd == nullptr) return out;
+  const auto nd = g.GetNode(u);
+  if (!nd) return out;
   out.reserve(nd->nbrs.size());
   for (NodeId w : nd->nbrs) {
     if (w != u && w != other) out.push_back(w);

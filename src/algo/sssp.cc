@@ -53,14 +53,14 @@ Result<NodeValues> DijkstraImpl(bool has_src, NodeId src,
 
 Result<NodeValues> Dijkstra(const DirectedGraph& g, const EdgeWeights& w,
                             NodeId src) {
-  return DijkstraImpl(g.HasNode(src), src, w, [&](NodeId u) -> const std::vector<NodeId>& {
+  return DijkstraImpl(g.HasNode(src), src, w, [&](NodeId u) {
     return g.GetNode(u)->out;
   });
 }
 
 Result<NodeValues> Dijkstra(const UndirectedGraph& g, const EdgeWeights& w,
                             NodeId src) {
-  return DijkstraImpl(g.HasNode(src), src, w, [&](NodeId u) -> const std::vector<NodeId>& {
+  return DijkstraImpl(g.HasNode(src), src, w, [&](NodeId u) {
     return g.GetNode(u)->nbrs;
   });
 }

@@ -28,7 +28,7 @@ DegreeHistogram HistogramOf(const std::vector<int64_t>& degrees) {
 DegreeHistogram OutDegreeHistogram(const DirectedGraph& g) {
   std::vector<int64_t> deg;
   deg.reserve(g.NumNodes());
-  g.ForEachNode([&](NodeId, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId, const DirectedGraph::NodeView& nd) {
     deg.push_back(static_cast<int64_t>(nd.out.size()));
   });
   return HistogramOf(deg);
@@ -37,7 +37,7 @@ DegreeHistogram OutDegreeHistogram(const DirectedGraph& g) {
 DegreeHistogram InDegreeHistogram(const DirectedGraph& g) {
   std::vector<int64_t> deg;
   deg.reserve(g.NumNodes());
-  g.ForEachNode([&](NodeId, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId, const DirectedGraph::NodeView& nd) {
     deg.push_back(static_cast<int64_t>(nd.in.size()));
   });
   return HistogramOf(deg);
@@ -46,7 +46,7 @@ DegreeHistogram InDegreeHistogram(const DirectedGraph& g) {
 DegreeHistogram DegreeHistogram_(const UndirectedGraph& g) {
   std::vector<int64_t> deg;
   deg.reserve(g.NumNodes());
-  g.ForEachNode([&](NodeId, const UndirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId, const UndirectedGraph::NodeView& nd) {
     deg.push_back(static_cast<int64_t>(nd.nbrs.size()));
   });
   return HistogramOf(deg);
@@ -105,7 +105,7 @@ double Density(const UndirectedGraph& g) {
 
 int64_t CountSelfLoops(const DirectedGraph& g) {
   int64_t loops = 0;
-  g.ForEachNode([&](NodeId u, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId u, const DirectedGraph::NodeView& nd) {
     loops += std::binary_search(nd.out.begin(), nd.out.end(), u) ? 1 : 0;
   });
   return loops;
@@ -113,7 +113,7 @@ int64_t CountSelfLoops(const DirectedGraph& g) {
 
 int64_t CountSelfLoops(const UndirectedGraph& g) {
   int64_t loops = 0;
-  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeView& nd) {
     loops += std::binary_search(nd.nbrs.begin(), nd.nbrs.end(), u) ? 1 : 0;
   });
   return loops;
@@ -124,7 +124,7 @@ GraphSummary Summarize(const DirectedGraph& g) {
   s.nodes = g.NumNodes();
   s.edges = g.NumEdges();
   s.self_loops = CountSelfLoops(g);
-  g.ForEachNode([&](NodeId, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId, const DirectedGraph::NodeView& nd) {
     const int64_t out = static_cast<int64_t>(nd.out.size());
     const int64_t in = static_cast<int64_t>(nd.in.size());
     s.max_out_degree = std::max(s.max_out_degree, out);

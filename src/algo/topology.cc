@@ -25,7 +25,8 @@ Result<std::vector<NodeId>> TopologicalSort(const DirectedGraph& g) {
     const int64_t u = ready.top();
     ready.pop();
     order.push_back(ni.IdOf(u));
-    for (NodeId vid : g.GetNode(ni.IdOf(u))->out) {
+    const auto nd = g.GetNode(ni.IdOf(u));
+    for (NodeId vid : nd->out) {
       const int64_t v = ni.IndexOf(vid);
       if (--indeg[v] == 0) ready.push(v);
     }
@@ -51,7 +52,7 @@ std::vector<NodeId> FindCycle(const DirectedGraph& g) {
     while (!stack.empty()) {
       auto& [u, child] = stack.back();
       if (child == 0) color[u] = kGray;
-      const auto& out = g.GetNode(ni.IdOf(u))->out;
+      const std::span<const NodeId> out = g.GetNode(ni.IdOf(u))->out;
       if (child < out.size()) {
         const int64_t v = ni.IndexOf(out[child++]);
         if (v == u) return {ni.IdOf(u)};  // Self-loop.

@@ -24,7 +24,8 @@ DirectedGraph Subgraph(const DirectedGraph& g,
     }
   }
   keep.ForEach([&](NodeId u) {
-    for (NodeId v : g.GetNode(u)->out) {
+    const auto node = g.GetNode(u);
+    for (NodeId v : node->out) {
       if (keep.Contains(v)) out.AddEdge(u, v);
     }
   });
@@ -43,7 +44,8 @@ UndirectedGraph Subgraph(const UndirectedGraph& g,
     }
   }
   keep.ForEach([&](NodeId u) {
-    for (NodeId v : g.GetNode(u)->nbrs) {
+    const auto node = g.GetNode(u);
+    for (NodeId v : node->nbrs) {
       if (u <= v && keep.Contains(v)) out.AddEdge(u, v);
     }
   });
@@ -53,7 +55,7 @@ UndirectedGraph Subgraph(const UndirectedGraph& g,
 DirectedGraph Reverse(const DirectedGraph& g) {
   DirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   g.ForEachEdge([&](NodeId u, NodeId v) { out.AddEdge(v, u); });
@@ -63,7 +65,7 @@ DirectedGraph Reverse(const DirectedGraph& g) {
 UndirectedGraph ToUndirected(const DirectedGraph& g) {
   UndirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   g.ForEachEdge([&](NodeId u, NodeId v) { out.AddEdge(u, v); });
@@ -73,7 +75,7 @@ UndirectedGraph ToUndirected(const DirectedGraph& g) {
 DirectedGraph ToDirected(const UndirectedGraph& g) {
   DirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const UndirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const UndirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   g.ForEachEdge([&](NodeId u, NodeId v) {
@@ -86,7 +88,7 @@ DirectedGraph ToDirected(const UndirectedGraph& g) {
 DirectedGraph RemoveSelfLoops(const DirectedGraph& g) {
   DirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   g.ForEachEdge([&](NodeId u, NodeId v) {
@@ -98,7 +100,7 @@ DirectedGraph RemoveSelfLoops(const DirectedGraph& g) {
 UndirectedGraph RemoveSelfLoops(const UndirectedGraph& g) {
   UndirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const UndirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const UndirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   g.ForEachEdge([&](NodeId u, NodeId v) {
@@ -144,7 +146,7 @@ DirectedGraph SampleEdges(const DirectedGraph& g, int64_t k, uint64_t seed) {
   }
   DirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   for (int64_t i = 0; i < std::max<int64_t>(take, 0); ++i) {
@@ -156,10 +158,10 @@ DirectedGraph SampleEdges(const DirectedGraph& g, int64_t k, uint64_t seed) {
 DirectedGraph GraphUnion(const DirectedGraph& a, const DirectedGraph& b) {
   DirectedGraph out;
   out.ReserveNodes(a.NumNodes() + b.NumNodes());
-  a.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  a.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
-  b.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  b.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   a.ForEachEdge([&](NodeId u, NodeId v) { out.AddEdge(u, v); });
@@ -170,7 +172,7 @@ DirectedGraph GraphUnion(const DirectedGraph& a, const DirectedGraph& b) {
 DirectedGraph GraphIntersection(const DirectedGraph& a,
                                 const DirectedGraph& b) {
   DirectedGraph out;
-  a.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  a.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     if (b.HasNode(id)) out.AddNode(id);
   });
   a.ForEachEdge([&](NodeId u, NodeId v) {
@@ -183,7 +185,7 @@ DirectedGraph GraphDifference(const DirectedGraph& a,
                               const DirectedGraph& b) {
   DirectedGraph out;
   out.ReserveNodes(a.NumNodes());
-  a.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  a.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   a.ForEachEdge([&](NodeId u, NodeId v) {
@@ -239,7 +241,7 @@ DirectedGraph RewireEdges(const DirectedGraph& g, int64_t swaps,
 
   DirectedGraph out;
   out.ReserveNodes(g.NumNodes());
-  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const DirectedGraph::NodeView&) {
     out.AddNode(id);
   });
   for (const Edge& e : edges) out.AddEdge(e.first, e.second);

@@ -100,7 +100,7 @@ std::array<int64_t, kNumTriadTypes> TriadCensus(const DirectedGraph& g) {
   // self-loops dropped.
   std::vector<std::vector<int64_t>> out(n), nbr(n);
   ParallelForDynamic(0, n, [&](int64_t i) {
-    const DirectedGraph::NodeData* nd = g.GetNode(ni.IdOf(i));
+    const auto nd = g.GetNode(ni.IdOf(i));
     for (NodeId v : nd->out) {
       const int64_t j = ni.IndexOf(v);
       if (j != i) out[i].push_back(j);

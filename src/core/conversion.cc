@@ -4,9 +4,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
+#include "util/default_init.h"
 #include "util/parallel.h"
 #include "util/radix_sort.h"
 #include "util/trace.h"
@@ -15,11 +17,14 @@ namespace ringo {
 
 namespace {
 
+// Endpoint ids, one per row; every cell is written, so sized for
+// overwrite.
+using Ids = DefaultInitVector<NodeId>;
+
 // Pulls a node-id column as int64 values (pool ids for string columns),
 // restricted to the physical rows in `keep` when non-null.
 Status ExtractNodeColumnRows(const Table& t, std::string_view name,
-                             const std::vector<int64_t>* keep,
-                             std::vector<NodeId>* out) {
+                             const std::vector<int64_t>* keep, Ids* out) {
   RINGO_ASSIGN_OR_RETURN(const int ci, t.FindColumn(name));
   const Column& c = t.column(ci);
   const int64_t n =
@@ -42,14 +47,12 @@ Status ExtractNodeColumnRows(const Table& t, std::string_view name,
   return Status::Internal("unhandled column type");
 }
 
-Status ExtractNodeColumn(const Table& t, std::string_view name,
-                         std::vector<NodeId>* out) {
+Status ExtractNodeColumn(const Table& t, std::string_view name, Ids* out) {
   return ExtractNodeColumnRows(t, name, nullptr, out);
 }
 
 // [min, max] over both endpoint columns (non-empty).
-std::pair<NodeId, NodeId> IdRange(const std::vector<NodeId>& src,
-                                  const std::vector<NodeId>& dst) {
+std::pair<NodeId, NodeId> IdRange(const Ids& src, const Ids& dst) {
   const int parts = NumThreads();
   const std::vector<int64_t> bounds =
       PartitionRange(static_cast<int64_t>(src.size()), parts);
@@ -85,11 +88,11 @@ struct PackedArcs {
   NodeId Tail(Record r) const {
     return Id(r & ((uint64_t{1} << bits) - 1));
   }
-  static void Sort(std::vector<Record>& v) {
+  static void Sort(Record* v, int64_t n) {
     if (radix::Enabled()) {
-      RadixSortU64(v);
+      RadixSortU64(v, n);
     } else {
-      ParallelSort(v.begin(), v.end());
+      ParallelSort(v, v + n);
     }
   }
 
@@ -107,11 +110,11 @@ struct WideArcs {
   Record Make(NodeId u, NodeId v) const { return {u, v}; }
   NodeId Head(const Record& r) const { return r.first; }
   NodeId Tail(const Record& r) const { return r.second; }
-  static void Sort(std::vector<Record>& v) {
+  static void Sort(Record* v, int64_t n) {
     if (radix::Enabled()) {
-      RadixSortI64Pairs(v.data(), static_cast<int64_t>(v.size()));
+      RadixSortI64Pairs(v, n);
     } else {
-      ParallelSort(v.begin(), v.end());
+      ParallelSort(v, v + n);
     }
   }
 };
@@ -121,7 +124,8 @@ template <typename Graph>
 struct Layout;
 
 // Directed: the forward arcs u→v give the out-runs and the reversed arcs
-// v→u the in-runs, sorted as two arrays.
+// v→u the in-runs, sorted as two arrays (the arena order of
+// DirectedPolicy).
 template <>
 struct Layout<DirectedGraph> {
   static constexpr size_t kArrays = 2;
@@ -130,11 +134,10 @@ struct Layout<DirectedGraph> {
   static constexpr const char* kFillSpan = "TableToGraph/fill";
 
   template <typename Arcs>
-  static std::array<std::vector<typename Arcs::Record>, 2> MakeArcs(
-      const Arcs& arcs, const std::vector<NodeId>& src,
-      const std::vector<NodeId>& dst) {
+  static std::array<DefaultInitVector<typename Arcs::Record>, 2> MakeArcs(
+      const Arcs& arcs, const Ids& src, const Ids& dst) {
     const int64_t n = static_cast<int64_t>(src.size());
-    std::array<std::vector<typename Arcs::Record>, 2> out;
+    std::array<DefaultInitVector<typename Arcs::Record>, 2> out;
     out[0].resize(n);
     out[1].resize(n);
     ParallelFor(0, n, [&](int64_t i) {
@@ -142,14 +145,6 @@ struct Layout<DirectedGraph> {
       out[1][i] = arcs.Make(dst[i], src[i]);
     });
     return out;
-  }
-  static std::array<std::vector<NodeId>*, 2> RunVectors(
-      DirectedGraph::NodeData* nd) {
-    return {&nd->out, &nd->in};
-  }
-  // Each edge counts once, at its source.
-  static int64_t OwnedEdges(NodeId, const DirectedGraph::NodeData& nd) {
-    return static_cast<int64_t>(nd.out.size());
   }
 };
 
@@ -163,11 +158,10 @@ struct Layout<UndirectedGraph> {
   static constexpr const char* kFillSpan = "TableToUndirectedGraph/fill";
 
   template <typename Arcs>
-  static std::array<std::vector<typename Arcs::Record>, 1> MakeArcs(
-      const Arcs& arcs, const std::vector<NodeId>& src,
-      const std::vector<NodeId>& dst) {
+  static std::array<DefaultInitVector<typename Arcs::Record>, 1> MakeArcs(
+      const Arcs& arcs, const Ids& src, const Ids& dst) {
     const int64_t n = static_cast<int64_t>(src.size());
-    std::array<std::vector<typename Arcs::Record>, 1> out;
+    std::array<DefaultInitVector<typename Arcs::Record>, 1> out;
     out[0].resize(2 * n);
     ParallelFor(0, n, [&](int64_t i) {
       out[0][2 * i] = arcs.Make(src[i], dst[i]);
@@ -175,125 +169,152 @@ struct Layout<UndirectedGraph> {
     });
     return out;
   }
-  static std::array<std::vector<NodeId>*, 1> RunVectors(
-      UndirectedGraph::NodeData* nd) {
-    return {&nd->nbrs};
-  }
-  // Each edge counts once, at its lower endpoint (a self-loop has one).
-  static int64_t OwnedEdges(NodeId id, const UndirectedGraph::NodeData& nd) {
-    return nd.nbrs.end() -
-           std::lower_bound(nd.nbrs.begin(), nd.nbrs.end(), id);
-  }
 };
 
-// The run walk over K sorted arc arrays: the ascending distinct heads, and
-// for node nodes[i] its run arcs[k][begin[k][i], begin[k][i + 1]) in every
-// array (empty where it heads no arc).
-template <size_t K>
-struct NodeRuns {
-  std::vector<NodeId> nodes;
-  std::array<std::vector<int64_t>, K> begin;
+// The runs of one sorted arc array. Duplicate arcs (repeated rows) count
+// once: `start[h]` is where head `heads[h]`'s run begins among the distinct
+// arcs, and start.back() is their number. The array is cut into parts;
+// part p covers arcs [bounds[p], bounds[p + 1]) and its first distinct arc
+// is distinct arc number part_start[p] (part_start.back() counts them all).
+struct ArrayRuns {
+  std::vector<int64_t> bounds;
+  std::vector<int64_t> part_start;
+  DefaultInitVector<NodeId> heads;
+  DefaultInitVector<int64_t> start;
 };
 
-template <typename Arcs, size_t K>
-NodeRuns<K> WalkRuns(
-    const Arcs& arcs,
-    const std::array<std::vector<typename Arcs::Record>, K>& sorted) {
-  NodeRuns<K> runs;
-  std::array<size_t, K> pos{};
-  while (true) {
-    bool found = false;
-    NodeId id = 0;
-    for (size_t k = 0; k < K; ++k) {
-      if (pos[k] == sorted[k].size()) continue;
-      const NodeId head = arcs.Head(sorted[k][pos[k]]);
-      if (!found || head < id) id = head;
-      found = true;
-    }
-    if (!found) break;
-    runs.nodes.push_back(id);
-    for (size_t k = 0; k < K; ++k) {
-      runs.begin[k].push_back(static_cast<int64_t>(pos[k]));
-      while (pos[k] < sorted[k].size() &&
-             arcs.Head(sorted[k][pos[k]]) == id) {
-        ++pos[k];
+// Finds the head boundaries of a sorted arc array in parallel parts, in
+// one read of the arcs: each part counts its distinct arcs and notes its
+// heads with their part-relative starts, a prefix sum places the parts,
+// and each part writes its heads and starts at its place.
+template <typename Arcs, typename Vec>
+ArrayRuns FindRuns(const Arcs& arcs, const Vec& a) {
+  const int64_t n = static_cast<int64_t>(a.size());
+  const int parts = RangeParts(n);
+  ArrayRuns r;
+  r.bounds = PartitionRange(n, parts);
+  std::vector<std::vector<std::pair<NodeId, int64_t>>> found(parts);
+  std::vector<int64_t> part_heads(parts + 1, 0);
+  r.part_start.assign(parts + 1, 0);
+  ParallelFor(0, parts, [&](int64_t p) {
+    int64_t distinct = 0;
+    for (int64_t j = r.bounds[p]; j < r.bounds[p + 1]; ++j) {
+      if (j > 0 && a[j] == a[j - 1]) continue;  // A duplicate arc.
+      if (j == 0 || arcs.Head(a[j]) != arcs.Head(a[j - 1])) {
+        found[p].emplace_back(arcs.Head(a[j]), distinct);
       }
+      ++distinct;
     }
-  }
-  for (size_t k = 0; k < K; ++k) {
-    runs.begin[k].push_back(static_cast<int64_t>(sorted[k].size()));
-  }
-  return runs;
+    part_heads[p] = static_cast<int64_t>(found[p].size());
+    r.part_start[p] = distinct;
+  });
+  const int64_t num_heads =
+      ExclusivePrefixSum(part_heads.data(), part_heads.data(), parts + 1);
+  const int64_t num_distinct =
+      ExclusivePrefixSum(r.part_start.data(), r.part_start.data(), parts + 1);
+  r.heads.resize(num_heads);
+  r.start.resize(num_heads + 1);
+  r.start[num_heads] = num_distinct;
+  ParallelFor(0, parts, [&](int64_t p) {
+    int64_t h = part_heads[p];
+    for (const auto& [head, at] : found[p]) {
+      r.heads[h] = head;
+      r.start[h] = r.part_start[p] + at;
+      ++h;
+    }
+  });
+  return r;
+}
+
+// Writes the tails of an array's distinct arcs back to back: exactly the
+// arena of its direction, every node's run at exact capacity.
+template <typename Arcs, typename Vec>
+DefaultInitVector<NodeId> WriteTails(const Arcs& arcs, const Vec& a,
+                                     const ArrayRuns& r) {
+  DefaultInitVector<NodeId> out(r.part_start.back());
+  const int64_t parts = static_cast<int64_t>(r.bounds.size()) - 1;
+  ParallelFor(0, parts, [&](int64_t p) {
+    int64_t pos = r.part_start[p];
+    for (int64_t j = r.bounds[p]; j < r.bounds[p + 1]; ++j) {
+      if (j == 0 || a[j] != a[j - 1]) out[pos++] = arcs.Tail(a[j]);
+    }
+  });
+  return out;
 }
 
 // Sort + count + fill over already-extracted endpoint columns, with the
 // arc record chosen by the caller. The columns are consumed: they are freed
 // once the arcs are built, before the sort allocates its scratch.
 template <typename Graph, typename Arcs>
-Graph BuildWithArcs(const Arcs& arcs, std::vector<NodeId> src,
-                    std::vector<NodeId> dst, trace::Span* span) {
+Graph BuildWithArcs(const Arcs& arcs, Ids src, Ids dst, trace::Span* span) {
   using L = Layout<Graph>;
   constexpr size_t K = L::kArrays;
-  std::array<std::vector<typename Arcs::Record>, K> sorted;
+  std::array<DefaultInitVector<typename Arcs::Record>, K> sorted;
   {
     trace::Span sort_span(L::kSortSpan);
     sort_span.AddAttr("rows", static_cast<int64_t>(src.size()));
     sorted = L::MakeArcs(arcs, src, dst);
-    std::vector<NodeId>().swap(src);
-    std::vector<NodeId>().swap(dst);
-    for (auto& a : sorted) Arcs::Sort(a);
+    Ids().swap(src);
+    Ids().swap(dst);
+    for (auto& a : sorted) Arcs::Sort(a.data(), static_cast<int64_t>(a.size()));
   }
-  NodeRuns<K> runs;
+
+  // Count: every array's heads and run starts, then the ascending node list
+  // as the merge of the (at most two) head lists; a node heading no arc in
+  // an array gets an empty run there.
+  std::array<ArrayRuns, K> found;
+  SortedRuns<static_cast<int>(K)> runs;
   {
     trace::Span count_span(L::kCountSpan);
-    runs = WalkRuns(arcs, sorted);
+    for (size_t k = 0; k < K; ++k) found[k] = FindRuns(arcs, sorted[k]);
+    if constexpr (K == 1) {
+      runs.nodes.assign(found[0].heads.begin(), found[0].heads.end());
+      runs.begin[0] = std::move(found[0].start);
+    } else {
+      const auto& h0 = found[0].heads;
+      const auto& h1 = found[1].heads;
+      runs.nodes.reserve(std::max(h0.size(), h1.size()));
+      std::set_union(h0.begin(), h0.end(), h1.begin(), h1.end(),
+                     std::back_inserter(runs.nodes));
+      const int64_t nn = static_cast<int64_t>(runs.nodes.size());
+      for (size_t k = 0; k < K; ++k) {
+        const auto& heads = found[k].heads;
+        const auto& start = found[k].start;
+        auto& begin = runs.begin[k];
+        begin.resize(nn + 1);
+        size_t h = 0;
+        for (int64_t i = 0; i < nn; ++i) {
+          begin[i] = start[h];
+          if (h < heads.size() && heads[h] == runs.nodes[i]) ++h;
+        }
+        begin[nn] = start.back();
+      }
+    }
     count_span.AddAttr("distinct_nodes",
                        static_cast<int64_t>(runs.nodes.size()));
   }
 
+  // Fill: each array's distinct tails are its direction's arena; the graph
+  // takes the arenas as they are and inserts the node table in ascending
+  // order.
   trace::Span fill_span(L::kFillSpan);
-  Graph g;
+  for (size_t k = 0; k < K; ++k) {
+    runs.arcs[k] = WriteTails(arcs, sorted[k], found[k]);
+    DefaultInitVector<typename Arcs::Record>().swap(sorted[k]);
+  }
   const int64_t nn = static_cast<int64_t>(runs.nodes.size());
-  g.ReserveNodes(nn);
-  // All nodes go in first, in one pass: the table never rehashes after
-  // this, so the parallel fill below only reads it.
-  auto& table = g.mutable_node_table();
-  for (const NodeId id : runs.nodes) table.Insert(id, {});
-  if (nn > 0) g.NoteMaxNodeId(runs.nodes.back());
-
-  // Each node's vectors are copies of its runs' tails (sorted, since the
-  // arcs are), minus duplicate arcs. Threads own disjoint nodes.
-  std::vector<int64_t> owned(nn);
-  ParallelForDynamic(0, nn, [&](int64_t i) {
-    auto* nd = table.Find(runs.nodes[i]);
-    const auto vectors = L::RunVectors(nd);
-    for (size_t k = 0; k < K; ++k) {
-      const auto* run = sorted[k].data();
-      const int64_t lo = runs.begin[k][i], hi = runs.begin[k][i + 1];
-      vectors[k]->reserve(hi - lo);
-      for (int64_t j = lo; j < hi; ++j) {
-        if (j == lo || run[j] != run[j - 1]) {
-          vectors[k]->push_back(arcs.Tail(run[j]));
-        }
-      }
-    }
-    owned[i] = L::OwnedEdges(runs.nodes[i], *nd);
-  });
-  int64_t edges = 0;
-  for (const int64_t c : owned) edges += c;
-  g.BumpEdgeCount(edges);
+  Graph g(std::move(runs));
   fill_span.AddAttr("nodes", nn);
-  fill_span.AddAttr("edges", edges);
+  fill_span.AddAttr("edges", g.NumEdges());
   span->AddAttr("nodes", nn);
-  span->AddAttr("edges", edges);
+  span->AddAttr("edges", g.NumEdges());
   return g;
 }
 
 // The sort-first core behind every table→graph build: packed arc keys
 // when the id span fits in 32 bits per endpoint, Edge records otherwise.
 template <typename Graph>
-Graph BuildGraph(std::vector<NodeId> src, std::vector<NodeId> dst,
-                 trace::Span* span) {
+Graph BuildGraph(Ids src, Ids dst, trace::Span* span) {
   PackedArcs packed;
   if (!src.empty()) {
     const auto [lo, hi] = IdRange(src, dst);
@@ -314,7 +335,7 @@ Result<DirectedGraph> TableToGraph(const Table& t, std::string_view src_col,
                                    std::string_view dst_col) {
   trace::Span span("TableToGraph");
   span.AddAttr("rows", t.NumRows());
-  std::vector<NodeId> src, dst;
+  Ids src, dst;
   {
     RINGO_TRACE_SPAN("TableToGraph/extract");
     RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
@@ -330,7 +351,7 @@ Result<DirectedGraph> TableToGraphFiltered(const Table& t,
   trace::Span span("TableToGraphFiltered");
   span.AddAttr("rows", t.NumRows());
   span.AddAttr("kept", static_cast<int64_t>(keep.size()));
-  std::vector<NodeId> src, dst;
+  Ids src, dst;
   {
     RINGO_TRACE_SPAN("TableToGraph/extract");
     RINGO_RETURN_NOT_OK(ExtractNodeColumnRows(t, src_col, &keep, &src));
@@ -347,7 +368,7 @@ Result<UndirectedGraph> TableToUndirectedGraph(const Table& t,
                                                std::string_view dst_col) {
   trace::Span span("TableToUndirectedGraph");
   span.AddAttr("rows", t.NumRows());
-  std::vector<NodeId> src, dst;
+  Ids src, dst;
   {
     RINGO_TRACE_SPAN("TableToUndirectedGraph/extract");
     RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
@@ -371,7 +392,7 @@ Result<WeightedGraphResult> TableToWeightedGraph(const Table& t,
   WeightedGraphResult out;
   RINGO_ASSIGN_OR_RETURN(out.graph, TableToGraph(t, src_col, dst_col));
 
-  std::vector<NodeId> src, dst;
+  Ids src, dst;
   RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
   RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, dst_col, &dst));
   out.weights.Reserve(out.graph.NumEdges());
@@ -413,7 +434,7 @@ Result<WeightedGraphResult> TableToWeightedGraph(const Table& t,
 Result<DirectedGraph> TableToGraphNaive(const Table& t,
                                         std::string_view src_col,
                                         std::string_view dst_col) {
-  std::vector<NodeId> src, dst;
+  Ids src, dst;
   RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, src_col, &src));
   RINGO_RETURN_NOT_OK(ExtractNodeColumn(t, dst_col, &dst));
   DirectedGraph g;
@@ -458,7 +479,8 @@ TablePtr GraphToEdgeTable(const DirectedGraph& g,
   ParallelForDynamic(0, nn, [&](int64_t i) {
     int64_t row = offsets[i];
     const NodeId u = ids[i];
-    for (NodeId v : g.GetNode(u)->out) {
+    const auto nd = g.GetNode(u);
+    for (NodeId v : nd->out) {
       src.SetInt(row, u);
       dst.SetInt(row, v);
       ++row;
@@ -493,7 +515,7 @@ TablePtr GraphToNodeTable(const DirectedGraph& g,
   c_in.ResizeForOverwrite(nn);
   c_out.ResizeForOverwrite(nn);
   ParallelFor(0, nn, [&](int64_t i) {
-    const DirectedGraph::NodeData* nd = g.GetNode(ids[i]);
+    const auto nd = g.GetNode(ids[i]);
     c_id.SetInt(i, ids[i]);
     c_in.SetInt(i, static_cast<int64_t>(nd->in.size()));
     c_out.SetInt(i, static_cast<int64_t>(nd->out.size()));

@@ -8,12 +8,14 @@
 //      (in-adjacency order), or for the undirected build both orientations
 //      in one array. An arc is one packed uint64 key when the id span fits
 //      in 32 bits per endpoint, a 128-bit (u, v) pair otherwise;
-//   3. walk the sorted arcs once for the ascending node list and every
-//      node's runs — so the node hash table and all adjacency vectors are
-//      sized exactly, with no dynamic growth on the hot path;
-//   4. fill each node's sorted adjacency vectors from its runs in parallel
-//      — threads own disjoint nodes, so concurrent access is contention-
-//      and lock-free.
+//   3. count: find every array's head boundaries in parallel parts (count,
+//      prefix sum, write), then merge the head lists into the ascending
+//      node list and every node's run bounds — so the node table and the
+//      arenas are sized exactly, with no dynamic growth on the hot path;
+//   4. fill: write the distinct arcs' tails back to back in parallel parts.
+//      That is already each direction's arena, every run at exact
+//      capacity, so the graph takes it as is and only inserts its node
+//      table (graph/adjacency_core.h, DESIGN.md §18).
 //
 // Graph → table pre-allocates the output and assigns each thread a disjoint
 // slice of nodes and output rows.

@@ -57,7 +57,7 @@ CsrGraph CsrGraph::FromEdges(std::vector<Edge> edges) {
 
 CsrGraph CsrGraph::FromGraph(const DirectedGraph& src) {
   // Degree count + exclusive prefix sum + parallel translated fill straight
-  // from the sorted adjacency vectors — the dynamic graph already has
+  // from the sorted adjacency runs — the dynamic graph already has
   // unique sorted edges, so the materialize/sort/dedupe path of FromEdges
   // is unnecessary, and translation through the monotone id->index map
   // keeps each neighbor run sorted.
@@ -68,13 +68,13 @@ CsrGraph CsrGraph::FromGraph(const DirectedGraph& src) {
   g.index_.Reserve(n);
   for (int64_t i = 0; i < n; ++i) g.index_.Insert(g.ids_[i], i);
 
-  std::vector<const DirectedGraph::NodeData*> nodes(n);
+  std::vector<DirectedGraph::NodeView> nodes(n);
   g.out_offsets_.assign(n + 1, 0);
   g.in_offsets_.assign(n + 1, 0);
   ParallelFor(0, n, [&](int64_t i) {
-    nodes[i] = src.GetNode(g.ids_[i]);
-    g.out_offsets_[i] = static_cast<int64_t>(nodes[i]->out.size());
-    g.in_offsets_[i] = static_cast<int64_t>(nodes[i]->in.size());
+    nodes[i] = *src.GetNode(g.ids_[i]);
+    g.out_offsets_[i] = static_cast<int64_t>(nodes[i].out.size());
+    g.in_offsets_[i] = static_cast<int64_t>(nodes[i].in.size());
   });
   const int64_t m_out = ExclusivePrefixSum(g.out_offsets_.data(),
                                            g.out_offsets_.data(), n + 1);
@@ -84,9 +84,9 @@ CsrGraph CsrGraph::FromGraph(const DirectedGraph& src) {
   g.in_nbrs_.resize(m_in);
   ParallelForDynamic(0, n, [&](int64_t i) {
     int64_t pos = g.out_offsets_[i];
-    for (NodeId v : nodes[i]->out) g.out_nbrs_[pos++] = *g.index_.Find(v);
+    for (NodeId v : nodes[i].out) g.out_nbrs_[pos++] = *g.index_.Find(v);
     pos = g.in_offsets_[i];
-    for (NodeId v : nodes[i]->in) g.in_nbrs_[pos++] = *g.index_.Find(v);
+    for (NodeId v : nodes[i].in) g.in_nbrs_[pos++] = *g.index_.Find(v);
   });
   return g;
 }

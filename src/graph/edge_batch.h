@@ -6,18 +6,18 @@
 //      *net* op stream ("inserts first, then deletes" semantics — a pair in
 //      both lists cancels unless the edge pre-existed, in which case it
 //      nets to a delete);
-//   3. group the net ops by adjacency-owning endpoint and rewrite each
-//      touched node's sorted vector with ONE linear merge instead of k
-//      repeated O(deg) sorted inserts — groups are disjoint, so the merges
-//      run in parallel.
-// The helpers here are the pieces both graphs share; the per-class glue
-// (in/out vs. single nbrs vector, endpoint normalization) lives in the
-// graph .cc files.
+//   3. group the net ops by run-owning endpoint and rewrite each touched
+//      node's sorted run with ONE linear merge instead of k repeated
+//      O(deg) sorted inserts — groups are disjoint, so the merges run in
+//      parallel.
+// The helpers here are the pieces the adjacency core (graph/
+// adjacency_core.*) and the snapshot patch path (algo/algo_view.*) share.
 #ifndef RINGO_GRAPH_EDGE_BATCH_H_
 #define RINGO_GRAPH_EDGE_BATCH_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/delta_journal.h"
@@ -51,7 +51,7 @@ inline void SortDedup(std::vector<Edge>& edges) {
 }
 
 // Net mutations are EdgeOp records (graph/delta_journal.h). When applying
-// to adjacency, `u` is the endpoint whose sorted vector the op lands in and
+// to adjacency, `u` is the endpoint whose sorted run the op lands in and
 // `v` the neighbor inserted/erased.
 
 // Sorts ops by (u, v); ops are net (at most one per pair) except inside
@@ -120,40 +120,35 @@ inline void SortTransposedOps(std::vector<EdgeOp>& ops) {
   std::copy(scratch.begin(), scratch.end(), ops.begin());
 }
 
-// Rewrites a sorted adjacency vector by merging in the net ops
-// [begin, end) for this node (sorted ascending by v). Inserts are
-// guaranteed absent from `vec` and deletes guaranteed present — the caller
-// resolved the batch against the current adjacency — so the output size is
-// exact and the merge is a single forward pass.
-// The merge goes through a thread-local scratch buffer (batches touch
-// thousands of nodes; a per-node allocation here dominates the merge
-// itself) and is copied back with assign(), which reuses the vector's
-// capacity — in steady state the whole apply loop runs allocation-free.
-inline void MergeApplyRun(std::vector<NodeId>& vec, const EdgeOp* begin,
-                          const EdgeOp* end) {
-  static thread_local std::vector<NodeId> scratch;
-  scratch.clear();
+// Writes the merge of the ascending run `src` with one owner's net ops
+// [begin, end) (sorted ascending by v) to `dst`, which must not overlap
+// `src`. Inserts are absent from `src` and deletes present — the caller
+// resolved the ops against the run — so the output holds exactly
+// src.size() + (inserts - deletes) words and the merge is one forward pass;
+// a delete consumes its matching entry. Graph runs and snapshot patch runs
+// (dense indices) both merge through here.
+inline void MergeRunInto(std::span<const NodeId> src, const EdgeOp* begin,
+                         const EdgeOp* end, NodeId* dst) {
   size_t i = 0;
   const EdgeOp* o = begin;
-  while (i < vec.size() || o != end) {
+  while (i < src.size() || o != end) {
     if (o == end) {
-      scratch.push_back(vec[i++]);
-    } else if (i == vec.size()) {
+      *dst++ = src[i++];
+    } else if (i == src.size()) {
       // Remaining ops must all be inserts past the tail.
-      scratch.push_back(o->v);
+      *dst++ = o->v;
       ++o;
-    } else if (vec[i] < o->v) {
-      scratch.push_back(vec[i++]);
-    } else if (vec[i] == o->v) {
+    } else if (src[i] < o->v) {
+      *dst++ = src[i++];
+    } else if (src[i] == o->v) {
       // A delete consumes the element; an equal insert cannot happen.
       ++i;
       ++o;
     } else {
-      scratch.push_back(o->v);
+      *dst++ = o->v;
       ++o;
     }
   }
-  vec.assign(scratch.begin(), scratch.end());
 }
 
 // Group boundaries of a (u, v)-sorted op list: offsets[k] is the first op

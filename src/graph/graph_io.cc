@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <vector>
 
+#include "util/parallel.h"
 #include "util/string_util.h"
 
 namespace ringo {
@@ -38,15 +40,17 @@ Status SaveEdgeList(const DirectedGraph& g, const std::string& path) {
   // "# Node: <id>" marker lines: Ringo's loader parses them back while
   // SNAP-style readers skip them as comments. Nodes with at least one
   // incident edge are recovered from the edge lines themselves.
-  for (NodeId u : g.SortedNodeIds()) {
-    const auto* nd = g.GetNode(u);
+  const std::vector<NodeId> ids = g.SortedNodeIds();
+  for (NodeId u : ids) {
+    const auto nd = g.GetNode(u);
     if (nd->out.empty() && nd->in.empty()) {
       out << "# Node: " << u << '\n';
     }
   }
   out << "# SrcNId\tDstNId\n";
-  for (NodeId u : g.SortedNodeIds()) {
-    for (NodeId v : g.GetNode(u)->out) {
+  for (NodeId u : ids) {
+    const auto nd = g.GetNode(u);
+    for (NodeId v : nd->out) {
       out << u << '\t' << v << '\n';
     }
   }
@@ -116,7 +120,7 @@ Status SaveGraphBinary(const DirectedGraph& g, const std::string& path) {
   WritePod(out, g.NumNodes());
   WritePod(out, g.NumEdges());
   for (NodeId u : g.SortedNodeIds()) {
-    const auto* nd = g.GetNode(u);
+    const auto nd = g.GetNode(u);
     WritePod(out, u);
     WritePod(out, static_cast<int64_t>(nd->out.size()));
     out.write(reinterpret_cast<const char*>(nd->out.data()),
@@ -129,10 +133,12 @@ Status SaveGraphBinary(const DirectedGraph& g, const std::string& path) {
 }
 
 Result<DirectedGraph> LoadGraphBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::IOError("cannot open '" + path + "' for reading");
   }
+  const int64_t file_bytes = static_cast<int64_t>(in.tellg());
+  in.seekg(0);
   char magic[sizeof(kMagic)];
   in.read(magic, sizeof(magic));
   if (!in || !std::equal(magic, magic + sizeof(magic), kMagic)) {
@@ -143,57 +149,82 @@ Result<DirectedGraph> LoadGraphBinary(const std::string& path) {
       num_edges < 0) {
     return Status::IOError("corrupt header in '" + path + "'");
   }
+  // Every node block is an id and a degree plus one word per out-edge, so
+  // counts the rest of the file cannot hold are corrupt. Checked before
+  // anything is sized by them; each degree is then bounded by the edges
+  // still unread.
+  constexpr int64_t kWord = sizeof(int64_t);
+  const int64_t left = file_bytes - static_cast<int64_t>(sizeof(kMagic)) -
+                       2 * kWord;
+  if (num_nodes > left / (2 * kWord) ||
+      num_edges > (left - 2 * kWord * num_nodes) / kWord) {
+    return Status::IOError("header of '" + path +
+                           "' claims more than the file holds");
+  }
 
-  DirectedGraph g;
-  g.ReserveNodes(num_nodes);
-  // First pass: create nodes and their out-vectors.
-  std::vector<std::pair<NodeId, std::vector<NodeId>>> nodes;
-  nodes.reserve(num_nodes);
-  int64_t edges_seen = 0;
+  SortedRuns<2> runs;
+  std::vector<NodeId>& ids = runs.nodes;
+  DefaultInitVector<NodeId>& out_arcs = runs.arcs[0];
+  DefaultInitVector<int64_t>& out_begin = runs.begin[0];
+  ids.resize(num_nodes);
+  out_arcs.resize(num_edges);
+  out_begin.resize(num_nodes + 1);
+  int64_t pos = 0;
   for (int64_t i = 0; i < num_nodes; ++i) {
-    NodeId id = 0;
     int64_t deg = 0;
-    if (!ReadPod(in, &id) || !ReadPod(in, &deg) || deg < 0 ||
-        deg > num_edges) {
+    if (!ReadPod(in, &ids[i]) || !ReadPod(in, &deg) || deg < 0 ||
+        deg > num_edges - pos) {
       return Status::IOError("corrupt node block in '" + path + "'");
     }
-    std::vector<NodeId> out(deg);
-    in.read(reinterpret_cast<char*>(out.data()),
-            static_cast<std::streamsize>(deg * sizeof(NodeId)));
+    // Blocks come in strictly ascending id order, as SaveGraphBinary
+    // writes them; this also rules out duplicate ids.
+    if (i > 0 && ids[i] <= ids[i - 1]) {
+      return Status::IOError("node ids out of order or repeated in '" +
+                             path + "'");
+    }
+    NodeId* run = out_arcs.data() + pos;
+    in.read(reinterpret_cast<char*>(run),
+            static_cast<std::streamsize>(deg * kWord));
     if (!in) {
       return Status::IOError("truncated adjacency in '" + path + "'");
     }
-    if (!std::is_sorted(out.begin(), out.end())) {
-      return Status::IOError("unsorted adjacency in '" + path + "'");
+    // Strictly ascending: a repeated neighbour would be a parallel edge.
+    if (std::adjacent_find(run, run + deg, std::greater_equal<NodeId>()) !=
+        run + deg) {
+      return Status::IOError("unsorted or repeated adjacency in '" + path +
+                             "'");
     }
-    edges_seen += deg;
-    if (!g.AddNode(id)) {
-      return Status::IOError("duplicate node id in '" + path + "'");
-    }
-    nodes.emplace_back(id, std::move(out));
+    out_begin[i] = pos;
+    pos += deg;
   }
-  if (edges_seen != num_edges) {
+  out_begin[num_nodes] = pos;
+  if (pos != num_edges) {
     return Status::IOError("edge count mismatch in '" + path + "'");
   }
 
-  // Second pass: install out-vectors and build in-vectors.
-  auto& table = g.mutable_node_table();
-  for (auto& [id, out] : nodes) {
-    for (NodeId v : out) {
-      DirectedGraph::NodeData* vd = table.Find(v);
-      if (vd == nullptr) {
-        return Status::IOError("edge to unknown node in '" + path + "'");
-      }
-      vd->in.push_back(id);
+  // In-runs: a counting transpose by target. Sources are visited in
+  // ascending order, so every in-run comes out ascending.
+  DefaultInitVector<int64_t> target(num_edges);
+  ParallelFor(0, num_edges, [&](int64_t j) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), out_arcs[j]);
+    target[j] = it != ids.end() && *it == out_arcs[j] ? it - ids.begin() : -1;
+  });
+  std::vector<int64_t> in_count(num_nodes + 1, 0);
+  for (int64_t j = 0; j < num_edges; ++j) {
+    if (target[j] < 0) {
+      return Status::IOError("edge to unknown node in '" + path + "'");
+    }
+    ++in_count[target[j]];
+  }
+  ExclusivePrefixSum(in_count);
+  runs.begin[1].assign(in_count.begin(), in_count.end());
+  runs.arcs[1].resize(num_edges);
+  for (int64_t i = 0; i < num_nodes; ++i) {
+    for (int64_t j = out_begin[i]; j < out_begin[i + 1]; ++j) {
+      runs.arcs[1][in_count[target[j]]++] = ids[i];
     }
   }
-  for (auto& [id, out] : nodes) {
-    DirectedGraph::NodeData* nd = table.Find(id);
-    nd->out = std::move(out);
-    std::sort(nd->in.begin(), nd->in.end());
-  }
-  g.BumpEdgeCount(num_edges);
-  return g;
+  return DirectedGraph(std::move(runs));
 }
 
 }  // namespace ringo

@@ -26,9 +26,15 @@ Status SaveEdgeList(const DirectedGraph& g, const std::string& path);
 Result<DirectedGraph> LoadEdgeList(const std::string& path);
 
 // Binary snapshot: magic + node/edge counts + per-node id and sorted
-// out-adjacency. Restores the exact structure including isolated nodes.
-// The format is little-endian and versioned; loading rejects foreign or
-// truncated files with IOError.
+// out-adjacency, nodes in ascending id order. Restores the exact structure
+// including isolated nodes. The format is little-endian and versioned.
+// Loading returns IOError for foreign or truncated files, for node or edge
+// counts (header or block) larger than the rest of the file can hold —
+// checked before anything is sized by them — for node blocks out of
+// ascending id order (so also duplicate ids), for runs that are not
+// strictly ascending (a repeated neighbour would be a parallel edge), and
+// for edges to unknown nodes. The loader writes the runs straight into the
+// graph's arenas (graph/adjacency_core.h).
 Status SaveGraphBinary(const DirectedGraph& g, const std::string& path);
 Result<DirectedGraph> LoadGraphBinary(const std::string& path);
 

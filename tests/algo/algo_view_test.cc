@@ -103,10 +103,12 @@ TEST(AlgoViewTest, DirectedViewMatchesAdjacency) {
       EXPECT_EQ(view->NumInArcs(), fam.g.NumEdges());
       ExpectNodeIndexMatches(*view, fam.g.SortedNodeIds());
       for (int64_t i = 0; i < view->NumNodes(); ++i) {
-        const DirectedGraph::NodeData* nd = fam.g.GetNode(view->IdOf(i));
-        ASSERT_NE(nd, nullptr);
-        EXPECT_EQ(RunIds(*view, view->Out(i)), nd->out) << view->IdOf(i);
-        EXPECT_EQ(RunIds(*view, view->In(i)), nd->in) << view->IdOf(i);
+        const auto nd = fam.g.GetNode(view->IdOf(i));
+        ASSERT_TRUE(nd.has_value());
+        EXPECT_EQ(RunIds(*view, view->Out(i)), testing::Ids(nd->out))
+            << view->IdOf(i);
+        EXPECT_EQ(RunIds(*view, view->In(i)), testing::Ids(nd->in))
+            << view->IdOf(i);
         EXPECT_EQ(view->OutDegree(i), static_cast<int64_t>(nd->out.size()));
         EXPECT_EQ(view->InDegree(i), static_cast<int64_t>(nd->in.size()));
       }
@@ -138,10 +140,10 @@ TEST(AlgoViewTest, UndirectedViewSharesNeighborArray) {
         if (!compact) {
           ASSERT_EQ(out.data(), in.data());
         }
-        const UndirectedGraph::NodeData* nd = fam.g.GetNode(view->IdOf(i));
-        ASSERT_NE(nd, nullptr);
-        EXPECT_EQ(RunIds(*view, out), nd->nbrs) << view->IdOf(i);
-        EXPECT_EQ(RunIds(*view, in), nd->nbrs) << view->IdOf(i);
+        const auto nd = fam.g.GetNode(view->IdOf(i));
+        ASSERT_TRUE(nd.has_value());
+        EXPECT_EQ(RunIds(*view, out), testing::Ids(nd->nbrs)) << view->IdOf(i);
+        EXPECT_EQ(RunIds(*view, in), testing::Ids(nd->nbrs)) << view->IdOf(i);
         EXPECT_EQ(view->OutDegree(i), fam.g.Degree(view->IdOf(i)));
       }
     }

@@ -180,7 +180,7 @@ NodeInts LegacyBfs(NodeId src, const Expand& expand) {
 
 NodeInts LegacyBfs(const DirectedGraph& g, NodeId src, BfsDir dir) {
   return LegacyBfs(src, [&](NodeId u, const auto& visit) {
-    const DirectedGraph::NodeData* nd = g.GetNode(u);
+    const auto nd = g.GetNode(u);
     if (dir == BfsDir::kOut || dir == BfsDir::kBoth) {
       for (NodeId v : nd->out) visit(v);
     }
@@ -192,7 +192,8 @@ NodeInts LegacyBfs(const DirectedGraph& g, NodeId src, BfsDir dir) {
 
 NodeInts LegacyBfs(const UndirectedGraph& g, NodeId src) {
   return LegacyBfs(src, [&](NodeId u, const auto& visit) {
-    for (NodeId v : g.GetNode(u)->nbrs) visit(v);
+    const auto node = g.GetNode(u);
+    for (NodeId v : node->nbrs) visit(v);
   });
 }
 

@@ -95,7 +95,8 @@ TEST_P(BiconnectivityProperty, MatchesRemovalSemantics) {
     const size_t after = ComponentSizes(ConnectedComponents(copy)).size();
     // Degree ignoring a possible self-loop.
     int64_t deg = 0;
-    for (NodeId u : g.GetNode(v)->nbrs) {
+    const auto node = g.GetNode(v);
+    for (NodeId u : node->nbrs) {
       if (u != v) ++deg;
     }
     if (cut_set.Contains(v)) {

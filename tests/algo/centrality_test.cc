@@ -136,7 +136,7 @@ TEST(DirectedBetweennessTest, SymmetricGraphDoublesUndirected) {
   // undirected (unordered-pair) score.
   UndirectedGraph ug = testing::RandomUndirected(30, 90, 11);
   DirectedGraph dg;
-  ug.ForEachNode([&](NodeId id, const UndirectedGraph::NodeData&) {
+  ug.ForEachNode([&](NodeId id, const UndirectedGraph::NodeView&) {
     dg.AddNode(id);
   });
   ug.ForEachEdge([&](NodeId u, NodeId v) {

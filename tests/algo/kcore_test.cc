@@ -60,7 +60,7 @@ TEST(KCoreSubgraphTest, MatchesNaivePeeling) {
 TEST(KCoreSubgraphTest, EveryNodeMeetsDegreeBound) {
   UndirectedGraph g = testing::RandomUndirected(100, 500, 77);
   const UndirectedGraph core3 = KCoreSubgraph(g, 3);
-  core3.ForEachNode([&](NodeId id, const UndirectedGraph::NodeData& nd) {
+  core3.ForEachNode([&](NodeId id, const UndirectedGraph::NodeView& nd) {
     EXPECT_GE(static_cast<int64_t>(nd.nbrs.size()), 3) << id;
   });
 }
@@ -77,7 +77,7 @@ TEST(CoreNumbersTest, MonotoneUnderKCore) {
   FlatHashMap<NodeId, int64_t> cores;
   for (const auto& [id, c] : CoreNumbers(g)) cores.Insert(id, c);
   const UndirectedGraph core2 = KCoreSubgraph(g, 2);
-  core2.ForEachNode([&](NodeId id, const UndirectedGraph::NodeData&) {
+  core2.ForEachNode([&](NodeId id, const UndirectedGraph::NodeView&) {
     EXPECT_GE(*cores.Find(id), 2);
   });
 }

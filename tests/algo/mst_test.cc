@@ -57,7 +57,7 @@ TEST(MstTest, SpanningTreeProperties) {
             g.NumNodes() - static_cast<int64_t>(comps.size()));
   // The forest connects exactly the same components.
   UndirectedGraph forest;
-  g.ForEachNode([&](NodeId id, const UndirectedGraph::NodeData&) {
+  g.ForEachNode([&](NodeId id, const UndirectedGraph::NodeView&) {
     forest.AddNode(id);
   });
   for (const Edge& e : mst.edges) forest.AddEdge(e.first, e.second);
@@ -89,7 +89,8 @@ TEST(MstTest, MatchesPrimReference) {
       double best = 1e18;
       NodeId best_v = -1;
       in_tree.ForEach([&](NodeId u) {
-        for (NodeId v : g.GetNode(u)->nbrs) {
+        const auto node = g.GetNode(u);
+        for (NodeId v : node->nbrs) {
           if (v != u && !in_tree.Contains(v)) {
             const double wt = w.Get(u, v);
             if (wt < best) {

@@ -51,10 +51,10 @@ TEST(TableToGraphTest, AdjacencySortedAndConsistent) {
                             {{3, 9}, {3, 1}, {3, 5}, {9, 3}, {1, 3}});
   auto g = TableToGraph(*t, "s", "d");
   ASSERT_TRUE(g.ok());
-  const auto* nd = g->GetNode(3);
-  ASSERT_NE(nd, nullptr);
-  EXPECT_EQ(nd->out, (std::vector<NodeId>{1, 5, 9}));
-  EXPECT_EQ(nd->in, (std::vector<NodeId>{1, 9}));
+  const auto nd = g->GetNode(3);
+  ASSERT_TRUE(nd.has_value());
+  EXPECT_EQ(testing::Ids(nd->out), (std::vector<NodeId>{1, 5, 9}));
+  EXPECT_EQ(testing::Ids(nd->in), (std::vector<NodeId>{1, 9}));
 }
 
 TEST(TableToGraphTest, FloatColumnRejected) {

@@ -33,7 +33,7 @@ TEST(RMatTest, SkewedDegreeDistribution) {
   const auto edges = RMatEdges(12, 40000, 3).ValueOrDie();
   const DirectedGraph g = BuildDirected(edges);
   int64_t max_deg = 0;
-  g.ForEachNode([&](NodeId, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId, const DirectedGraph::NodeView& nd) {
     max_deg = std::max(max_deg, static_cast<int64_t>(nd.out.size()));
   });
   const double avg = static_cast<double>(g.NumEdges()) / g.NumNodes();
@@ -70,7 +70,7 @@ TEST(PreferentialAttachmentTest, SizesAndConnectivity) {
   EXPECT_EQ(g->NumNodes(), 300);
   EXPECT_TRUE(IsConnected(*g));
   // Every non-seed node has degree >= 3.
-  g->ForEachNode([&](NodeId, const UndirectedGraph::NodeData& nd) {
+  g->ForEachNode([&](NodeId, const UndirectedGraph::NodeView& nd) {
     EXPECT_GE(nd.nbrs.size(), 3u);
   });
 }
@@ -79,7 +79,7 @@ TEST(PreferentialAttachmentTest, RichGetRicher) {
   auto g = PreferentialAttachment(2000, 2, 9);
   ASSERT_TRUE(g.ok());
   int64_t max_deg = 0;
-  g->ForEachNode([&](NodeId, const UndirectedGraph::NodeData& nd) {
+  g->ForEachNode([&](NodeId, const UndirectedGraph::NodeView& nd) {
     max_deg = std::max(max_deg, static_cast<int64_t>(nd.nbrs.size()));
   });
   EXPECT_GT(max_deg, 30) << "expected hub formation";
@@ -89,7 +89,7 @@ TEST(SmallWorldTest, RegularRingWhenBetaZero) {
   auto g = SmallWorld(50, 3, 0.0, 1);
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->NumEdges(), 150);
-  g->ForEachNode([&](NodeId, const UndirectedGraph::NodeData& nd) {
+  g->ForEachNode([&](NodeId, const UndirectedGraph::NodeView& nd) {
     EXPECT_EQ(nd.nbrs.size(), 6u);
   });
 }

@@ -75,13 +75,13 @@ TEST(CsrGraphTest, DelManyEdgesStaysConsistent) {
   // Delete every edge of node with the largest out-degree.
   NodeId hub = -1;
   int64_t best = -1;
-  dyn.ForEachNode([&](NodeId id, const DirectedGraph::NodeData& nd) {
+  dyn.ForEachNode([&](NodeId id, const DirectedGraph::NodeView& nd) {
     if (static_cast<int64_t>(nd.out.size()) > best) {
       best = static_cast<int64_t>(nd.out.size());
       hub = id;
     }
   });
-  const std::vector<NodeId> outs = dyn.GetNode(hub)->out;
+  const std::vector<NodeId> outs = testing::Ids(dyn.GetNode(hub)->out);
   for (NodeId v : outs) {
     EXPECT_TRUE(csr.DelEdge(hub, v));
     dyn.DelEdge(hub, v);

@@ -67,8 +67,8 @@ TEST(DirectedGraphTest, AdjacencyVectorsStaySorted) {
   DirectedGraph g;
   for (NodeId v : {5, 1, 9, 3, 7}) g.AddEdge(0, v);
   for (NodeId u : {8, 2, 6}) g.AddEdge(u, 0);
-  const auto* nd = g.GetNode(0);
-  ASSERT_NE(nd, nullptr);
+  const auto nd = g.GetNode(0);
+  ASSERT_TRUE(nd.has_value());
   EXPECT_TRUE(std::is_sorted(nd->out.begin(), nd->out.end()));
   EXPECT_TRUE(std::is_sorted(nd->in.begin(), nd->in.end()));
   EXPECT_EQ(g.OutDegree(0), 5);
@@ -156,10 +156,10 @@ TEST(DirectedGraphTest, RandomChurnKeepsInvariants) {
   EXPECT_EQ(g.NumEdges(), static_cast<int64_t>(ref.size()));
   EXPECT_EQ(testing::EdgeSet(g), ref);
   // In/out views must be mutually consistent.
-  g.ForEachNode([&](NodeId u, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId u, const DirectedGraph::NodeView& nd) {
     for (NodeId v : nd.out) {
-      const auto* vd = g.GetNode(v);
-      ASSERT_NE(vd, nullptr);
+      const auto vd = g.GetNode(v);
+      ASSERT_TRUE(vd.has_value());
       EXPECT_TRUE(std::binary_search(vd->in.begin(), vd->in.end(), u));
     }
   });

@@ -215,13 +215,13 @@ TEST(EdgeBatchTest, AdjacencyStaysSortedAfterBatch) {
     del.push_back({rng.UniformInt(0, 29), rng.UniformInt(0, 29)});
   }
   g.ApplyEdgeBatch(ins, del);
-  g.ForEachNode([&](NodeId, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId, const DirectedGraph::NodeView& nd) {
     EXPECT_TRUE(std::is_sorted(nd.out.begin(), nd.out.end()));
     EXPECT_TRUE(std::is_sorted(nd.in.begin(), nd.in.end()));
   });
   // In-adjacency mirrors out-adjacency exactly.
   std::set<Edge> from_out, from_in;
-  g.ForEachNode([&](NodeId u, const DirectedGraph::NodeData& nd) {
+  g.ForEachNode([&](NodeId u, const DirectedGraph::NodeView& nd) {
     for (NodeId v : nd.out) from_out.insert({u, v});
     for (NodeId v : nd.in) from_in.insert({v, u});
   });

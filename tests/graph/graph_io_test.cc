@@ -104,6 +104,40 @@ TEST_F(GraphIoTest, BinaryRejectsTruncation) {
   EXPECT_TRUE(LoadGraphBinary(path).status().IsIOError());
 }
 
+// Writes a binary graph file word by word: magic, header, node blocks.
+void WriteRawBinary(const std::string& path,
+                    const std::vector<int64_t>& words) {
+  std::ofstream out(path, std::ios::binary);
+  out.write("RNGOGRF1", 8);
+  out.write(reinterpret_cast<const char*>(words.data()),
+            static_cast<std::streamsize>(words.size() * sizeof(int64_t)));
+}
+
+// A run listing a neighbour twice would load as a parallel edge: the edge
+// count would say 2 for one distinct edge, and deleting it would leave it.
+TEST_F(GraphIoTest, BinaryRejectsRepeatedNeighbour) {
+  const std::string path = TempPath("repeated.bin");
+  // 2 nodes, 2 edges; node 1 -> [2, 2]; node 2 -> [].
+  WriteRawBinary(path, {2, 2, 1, 2, 2, 2, 2, 0});
+  EXPECT_TRUE(LoadGraphBinary(path).status().IsIOError());
+}
+
+// A degree the file cannot hold must fail before anything is sized by it.
+TEST_F(GraphIoTest, BinaryRejectsDegreeBeyondFile) {
+  const std::string path = TempPath("huge_degree.bin");
+  const int64_t huge = int64_t{1} << 40;
+  // 1 node, 2^40 edges; node 1 claims 2^40 out-neighbours and lists one.
+  WriteRawBinary(path, {1, huge, 1, huge, 2});
+  EXPECT_TRUE(LoadGraphBinary(path).status().IsIOError());
+}
+
+// Likewise a node count: 2^50 nodes in a header-only file.
+TEST_F(GraphIoTest, BinaryRejectsNodeCountBeyondFile) {
+  const std::string path = TempPath("huge_nodes.bin");
+  WriteRawBinary(path, {int64_t{1} << 50, 0});
+  EXPECT_TRUE(LoadGraphBinary(path).status().IsIOError());
+}
+
 TEST_F(GraphIoTest, BinaryLargeGraphFaithful) {
   const DirectedGraph g = testing::RandomDirected(500, 5000, 9);
   const std::string path = TempPath("big.bin");

@@ -40,8 +40,8 @@ TEST(UndirectedGraphTest, SelfLoopStoredOnce) {
   g.AddEdge(3, 3);
   EXPECT_EQ(g.NumEdges(), 1);
   EXPECT_EQ(g.Degree(3), 1);
-  ASSERT_NE(g.GetNode(3), nullptr);
-  EXPECT_EQ(g.GetNode(3)->nbrs, (std::vector<NodeId>{3}));
+  ASSERT_TRUE(g.GetNode(3).has_value());
+  EXPECT_EQ(testing::Ids(g.GetNode(3)->nbrs), (std::vector<NodeId>{3}));
   EXPECT_TRUE(g.DelEdge(3, 3));
   EXPECT_EQ(g.NumEdges(), 0);
 }
@@ -72,7 +72,7 @@ TEST(UndirectedGraphTest, ForEachEdgeVisitsOncePerEdge) {
 
 TEST(UndirectedGraphTest, SortedAdjacencyInvariant) {
   UndirectedGraph g = testing::RandomUndirected(30, 150, 9);
-  g.ForEachNode([](NodeId, const UndirectedGraph::NodeData& nd) {
+  g.ForEachNode([](NodeId, const UndirectedGraph::NodeView& nd) {
     EXPECT_TRUE(std::is_sorted(nd.nbrs.begin(), nd.nbrs.end()));
   });
 }

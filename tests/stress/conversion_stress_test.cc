@@ -90,6 +90,42 @@ TEST(ConversionStress, GraphToEdgeTableRowsAreThreadCountInvariant) {
   }
 }
 
+// The count phase cuts each sorted arc array into parts and finds head
+// boundaries per part. Sources 0..399 head only forward arcs and
+// destinations 1000..1399 only reversed ones, each with 100 arcs (50
+// distinct, every arc twice), so at 4 threads the 40000-arc arrays split
+// exactly at run starts and at 3 threads inside runs, on a duplicate arc.
+// The second table adds ten rows that make nodes both sources and
+// destinations, shifting every boundary. Each build must equal the
+// edge-by-edge one at 1-4 threads.
+TEST(ConversionStress, CountPartsSplitSourceOnlyAndDestinationOnlyRuns) {
+  std::vector<std::vector<int64_t>> rows;
+  for (int64_t u = 0; u < 400; ++u) {
+    for (int64_t k = 0; k < 100; ++k) {
+      rows.push_back({u, 1000 + (u + k / 2) % 400});
+    }
+  }
+  std::vector<std::vector<int64_t>> mixed = rows;
+  for (int64_t i = 0; i < 10; ++i) mixed.push_back({1000 + i, i});
+  for (const auto* data : {&rows, &mixed}) {
+    const TablePtr t = testing::MakeIntTable({"SrcId", "DstId"}, *data);
+    const DirectedGraph naive =
+        TableToGraphNaive(*t, "SrcId", "DstId").ValueOrDie();
+    UndirectedGraph ref;
+    for (const auto& r : *data) ref.AddEdge(r[0], r[1]);
+    for (const int tc : {1, 2, 3, 4}) {
+      ScopedNumThreads threads(tc);
+      const DirectedGraph g = TableToGraph(*t, "SrcId", "DstId").ValueOrDie();
+      ASSERT_TRUE(g.SameStructure(naive))
+          << "tc=" << tc << " rows=" << data->size();
+      const UndirectedGraph ug =
+          TableToUndirectedGraph(*t, "SrcId", "DstId").ValueOrDie();
+      ASSERT_TRUE(ug.SameStructure(ref))
+          << "tc=" << tc << " rows=" << data->size();
+    }
+  }
+}
+
 TEST(ConversionStress, RepeatedConversionsAreStable) {
   // Back-to-back conversions reuse OpenMP's thread pool; this catches
   // state leaking between regions (fence tokens, cached partitions).

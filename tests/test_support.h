@@ -1,7 +1,7 @@
 // Shared test scaffolding: random graph builders, the graph-family matrix,
 // and brute-force reference implementations (oracles) that the property
 // tests compare the real algorithms against. The oracles read only the
-// graph classes' own adjacency (HasEdge, NodeData, SortedNodeIds): no
+// graph classes' own adjacency (HasEdge, GetNode, SortedNodeIds): no
 // library kernel, NodeIndex or AlgoView, so a bug there cannot cancel out.
 #ifndef RINGO_TESTS_TEST_SUPPORT_H_
 #define RINGO_TESTS_TEST_SUPPORT_H_
@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +28,11 @@
 
 namespace ringo {
 namespace testing {
+
+// A graph run (GetNode's spans) as a vector, for comparisons.
+inline std::vector<NodeId> Ids(std::span<const NodeId> run) {
+  return {run.begin(), run.end()};
+}
 
 // Random simple directed graph: n nodes (ids 0..n-1 all present) and
 // exactly m distinct edges sampled uniformly (self_loops optional).
@@ -114,11 +120,11 @@ inline int64_t EdgeIteratorTriangles(const UndirectedGraph& g) {
     Counter operator++(int) { return *this; }
   };
   int64_t count = 0;
-  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeData& nd) {
-    const std::vector<NodeId>& nu = nd.nbrs;
+  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeView& nd) {
+    const std::span<const NodeId> nu = nd.nbrs;
     for (auto v = std::upper_bound(nu.begin(), nu.end(), u); v != nu.end();
          ++v) {
-      const std::vector<NodeId>& nv = g.GetNode(*v)->nbrs;
+      const std::span<const NodeId> nv = g.GetNode(*v)->nbrs;
       std::set_intersection(v + 1, nu.end(),
                             std::upper_bound(nv.begin(), nv.end(), *v),
                             nv.end(), Counter{&count});
@@ -370,7 +376,8 @@ inline NodeValues DenseEigenvector(const UndirectedGraph& g, int iters) {
 inline std::vector<NodeId> NeighborsNoSelf(const UndirectedGraph& g,
                                            NodeId u) {
   std::vector<NodeId> out;
-  for (const NodeId v : g.GetNode(u)->nbrs) {
+  const auto node = g.GetNode(u);
+  for (const NodeId v : node->nbrs) {
     if (v != u) out.push_back(v);
   }
   return out;
