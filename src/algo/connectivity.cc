@@ -1,8 +1,8 @@
 #include "algo/connectivity.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
-#include <numeric>
 
 #include "algo/algo_view.h"
 #include "algo/node_index.h"
@@ -14,34 +14,110 @@ namespace ringo {
 
 namespace {
 
-// Union-find with path halving + union by size.
-class UnionFind {
+// Lock-free union-find over dense indices whose roots are component minima
+// (DESIGN.md §19). Link hooks the larger of two roots under the smaller
+// with a CAS, so a parent never exceeds its child and the root of every
+// set is its smallest index; Find halves the path by CAS. Parents are
+// indices only, so relaxed order suffices, and every phase ends at a
+// ParallelFor join.
+class MinRootForest {
  public:
-  explicit UnionFind(int64_t n) : parent_(n), size_(n, 1) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+  explicit MinRootForest(int64_t n) : parent_(n) {
+    ParallelFor(0, n, [&](int64_t i) {
+      parent_[i].store(i, std::memory_order_relaxed);
+    });
   }
 
   int64_t Find(int64_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
+    while (true) {
+      int64_t p = parent_[x].load(std::memory_order_relaxed);
+      const int64_t gp = parent_[p].load(std::memory_order_relaxed);
+      if (p == gp) return p;
+      parent_[x].compare_exchange_weak(p, gp, std::memory_order_relaxed);
+      x = gp;
     }
-    return x;
   }
 
-  void Union(int64_t a, int64_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return;
-    if (size_[a] < size_[b]) std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
+  void Link(int64_t u, int64_t v) {
+    int64_t a = Find(u), b = Find(v);
+    while (a != b) {
+      const int64_t high = std::max(a, b), low = std::min(a, b);
+      int64_t expected = high;
+      if (parent_[high].compare_exchange_strong(expected, low,
+                                                std::memory_order_relaxed)) {
+        return;
+      }
+      a = Find(high);  // `high` was hooked meanwhile; retry from its root.
+      b = Find(low);
+    }
   }
 
  private:
-  std::vector<int64_t> parent_;
-  std::vector<int64_t> size_;
+  std::vector<std::atomic<int64_t>> parent_;
 };
+
+// Afforest (Sutton, Ben-Nun & Barak, IPDPS 2018): link every node to its
+// first two out-neighbours, take the most frequent root of a fixed sample
+// as the large component, and finish only the nodes outside it — the rest
+// of their out-runs, plus their whole in-runs on a directed view, which
+// catch arcs from the large component into an outside node. An arc with
+// both ends in the large component adds nothing, so skipping its nodes is
+// safe however the links interleave. Labels number the roots in ascending
+// index order, an exclusive prefix sum of root flags; roots are minima, so
+// that is Relabel's first-occurrence numbering.
+ComponentLabels ComponentsOf(const AlgoView& view) {
+  constexpr int64_t kSampledNeighbours = 2;
+  constexpr int64_t kSamples = 1024;
+  const int64_t n = view.NumNodes();
+  MinRootForest forest(n);
+  // One neighbour per round, as Afforest does: the second round's links
+  // start from the trees the first one settled, which measured faster at
+  // 4 threads than linking both neighbours in one pass.
+  for (int64_t r = 0; r < kSampledNeighbours; ++r) {
+    ParallelFor(0, n, [&](int64_t u) {
+      const NbrSpan out = view.Out(u);
+      if (r < static_cast<int64_t>(out.size())) forest.Link(u, out[r]);
+    });
+  }
+
+  // The most frequent root among evenly spaced nodes (ties: the smallest).
+  std::vector<int64_t> sample(std::min(n, kSamples));
+  const int64_t s = static_cast<int64_t>(sample.size());
+  for (int64_t i = 0; i < s; ++i) sample[i] = forest.Find(i * n / s);
+  std::sort(sample.begin(), sample.end());
+  int64_t large = -1, best = 0;
+  for (int64_t i = 0, j = 0; i < s; i = j) {
+    while (j < s && sample[j] == sample[i]) ++j;
+    if (j - i > best) {
+      best = j - i;
+      large = sample[i];
+    }
+  }
+
+  const bool directed = view.directed();
+  ParallelForDynamic(0, n, [&](int64_t u) {
+    if (forest.Find(u) == large) return;
+    const NbrSpan out = view.Out(u);
+    for (size_t r = kSampledNeighbours; r < out.size(); ++r) {
+      forest.Link(u, out[r]);
+    }
+    if (directed) {
+      for (const int64_t v : view.In(u)) forest.Link(u, v);
+    }
+  });
+
+  std::vector<int64_t> root(n), rank(n);
+  ParallelFor(0, n, [&](int64_t i) {
+    root[i] = forest.Find(i);
+    rank[i] = root[i] == i;
+  });
+  ExclusivePrefixSum(rank);
+  ComponentLabels labels(n);
+  ParallelFor(0, n, [&](int64_t i) {
+    labels[i] = {view.IdOf(i), rank[root[i]]};
+  });
+  return labels;
+}
 
 // Renumbers per-index labels densely by first occurrence (index order =
 // ascending node id, so component 0 holds the smallest id).
@@ -61,34 +137,14 @@ ComponentLabels WeaklyConnectedComponents(const DirectedGraph& g) {
   trace::Span span("Algo/WeaklyConnectedComponents");
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  // The view's arcs are already dense indices — no per-edge hash lookups.
-  // Union order cannot affect the labels: Relabel renumbers by first
-  // occurrence in ascending index order.
-  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-  const int64_t n = view->NumNodes();
-  UnionFind uf(n);
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t v : view->Out(u)) uf.Union(u, v);
-  }
-  std::vector<int64_t> raw(n);
-  for (int64_t i = 0; i < n; ++i) raw[i] = uf.Find(i);
-  return Relabel(view->node_index(), raw);
+  return ComponentsOf(*AlgoView::Of(g));
 }
 
 ComponentLabels ConnectedComponents(const UndirectedGraph& g) {
   trace::Span span("Algo/ConnectedComponents");
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-  const int64_t n = view->NumNodes();
-  UnionFind uf(n);
-  for (int64_t u = 0; u < n; ++u) {
-    // Each edge appears from both endpoints; the second Union is a no-op.
-    for (int64_t v : view->Out(u)) uf.Union(u, v);
-  }
-  std::vector<int64_t> raw(n);
-  for (int64_t i = 0; i < n; ++i) raw[i] = uf.Find(i);
-  return Relabel(view->node_index(), raw);
+  return ComponentsOf(*AlgoView::Of(g));
 }
 
 ComponentLabels StronglyConnectedComponents(const DirectedGraph& g) {

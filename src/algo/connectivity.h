@@ -1,6 +1,6 @@
-// Connected-component algorithms: weakly connected components (union-find)
-// and strongly connected components (iterative Tarjan — Table 6's "SCC"
-// row), plus largest-component extraction.
+// Connected-component algorithms: weakly connected components (a parallel
+// min-root union-find) and strongly connected components (iterative Tarjan
+// — Table 6's "SCC" row), plus largest-component extraction.
 #ifndef RINGO_ALGO_CONNECTIVITY_H_
 #define RINGO_ALGO_CONNECTIVITY_H_
 
@@ -15,7 +15,8 @@ namespace ringo {
 // contains the smallest node id, etc. (deterministic).
 using ComponentLabels = NodeInts;
 
-// Weakly connected components (edge direction ignored).
+// Weakly connected components (edge direction ignored), by a parallel
+// union-find whose roots are component minima (DESIGN.md §19).
 ComponentLabels WeaklyConnectedComponents(const DirectedGraph& g);
 ComponentLabels ConnectedComponents(const UndirectedGraph& g);
 

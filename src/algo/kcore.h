@@ -2,8 +2,9 @@
 // the maximal subgraph in which every node has degree >= k; the core number
 // of a node is the largest k for which it is in the k-core.
 //
-// Level-synchronous parallel peeling over AlgoView CSR runs (core numbers
-// are a graph property, so the output is identical at every thread count).
+// A sequential peel over AlgoView CSR runs and one residual-degree array
+// (DESIGN.md §19). Core numbers are a graph property, so the output is
+// identical at every thread count.
 #ifndef RINGO_ALGO_KCORE_H_
 #define RINGO_ALGO_KCORE_H_
 
@@ -13,10 +14,12 @@
 namespace ringo {
 
 // Core number of every node, (id, core), ascending by id. Peels one core
-// level k at a time: each level rescans all n nodes for residual degree
-// <= k, then drains the peel chains that scan starts, so the cost is
-// O(n · degeneracy + m) rather than linear. Self-loops contribute 1 to the
-// degree.
+// level k at a time: a scan of the live nodes seeds the level with those
+// of residual degree k (a level with none jumps to the smallest live
+// degree), and one queue drains the cascade they start. Each scan drops
+// the nodes peeled since the last, so the cost is O(n + m) plus the
+// live-list scans, one or two per non-empty level. Self-loops contribute 1
+// to the degree.
 NodeInts CoreNumbers(const UndirectedGraph& g);
 
 // The k-core subgraph: iteratively peels nodes of degree < k. Equivalent to

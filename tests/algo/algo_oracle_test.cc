@@ -1,14 +1,16 @@
 // Algorithm-vs-oracle suite (DESIGN.md §10). Every graph algorithm that
 // runs over the AlgoView CSR is checked against an independent reference
 // in tests/test_support.h — dense power iteration, brute-force triangles,
-// naive peeling, all-pairs distances, shortest-path counts, the modularity
-// formula — that reads only the graph's own adjacency, across a matrix of
-// graph families: random, R-MAT, star, chain, disconnected, self-loops and
-// isolated nodes, directed and undirected. Discrete outputs compare
-// exactly; floating-point outputs within 1e-9 · max(1, |oracle|), with both
-// sides running a fixed iteration count (tol = 0). Label propagation,
-// Louvain and ANF have no small oracle and keep invariants instead. Each
-// algorithm also pins a hand-computed golden value on a small graph.
+// naive peeling, BFS components, all-pairs distances, shortest-path counts,
+// the modularity formula — that reads only the graph's own adjacency,
+// across a matrix of graph families: random, R-MAT, star, chain,
+// disconnected, self-loops and isolated nodes, directed and undirected,
+// plus planted core blocks for the peeling and component kernels.
+// Discrete outputs compare exactly; floating-point outputs within
+// 1e-9 · max(1, |oracle|), with both sides running a fixed iteration count
+// (tol = 0). Label propagation, Louvain and ANF have no small oracle and
+// keep invariants instead. Each algorithm also pins a hand-computed golden
+// value on a small graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "algo/anf.h"
 #include "algo/centrality.h"
 #include "algo/community.h"
+#include "algo/connectivity.h"
 #include "algo/hits.h"
 #include "algo/kcore.h"
 #include "algo/louvain.h"
@@ -208,8 +211,16 @@ TEST(AlgoOracle, TrianglesGoldenSelfLoops) {
 
 // ---------------------------------------------------------------- k-core
 
+// The undirected matrix plus the planted core blocks.
+std::vector<testing::GraphFamily<UndirectedGraph>> PeelingFamilies() {
+  std::vector<testing::GraphFamily<UndirectedGraph>> fams =
+      testing::UndirectedFamilies();
+  fams.push_back(testing::PlantedBlocks());
+  return fams;
+}
+
 TEST(AlgoOracle, KCore) {
-  for (const auto& fam : testing::UndirectedFamilies()) {
+  for (const auto& fam : PeelingFamilies()) {
     SCOPED_TRACE(fam.name);
     const NodeInts want = testing::NaiveCoreNumbers(fam.g);
     EXPECT_EQ(CoreNumbers(fam.g), want);
@@ -240,6 +251,53 @@ TEST(AlgoOracle, KCoreGoldenPendantAndIsolated) {
   const UndirectedGraph three_core = KCoreSubgraph(g, 3);
   EXPECT_EQ(three_core.NumNodes(), 4);
   EXPECT_EQ(three_core.NumEdges(), 6);
+}
+
+// Named regression: the planted blocks' core numbers by hand. Levels 3-4
+// and 6-7 hold no node, the pendant chain peels in one level-1 cascade,
+// and the self-loop closing the second chain lifts it to core 2.
+TEST(AlgoOracle, KCoreGoldenPlantedBlocks) {
+  const UndirectedGraph g = testing::PlantedBlocks().g;
+  const NodeInts cores = CoreNumbers(g);
+  for (NodeId i = 0; i < 6; ++i) EXPECT_EQ(IntOf(cores, i), 5) << i;
+  for (NodeId i = 10; i < 19; ++i) EXPECT_EQ(IntOf(cores, i), 8) << i;
+  EXPECT_EQ(IntOf(cores, 40), 2);
+  for (NodeId i = 100; i < 120; ++i) EXPECT_EQ(IntOf(cores, i), 1) << i;
+  for (NodeId i = 200; i < 205; ++i) EXPECT_EQ(IntOf(cores, i), 2) << i;
+  EXPECT_EQ(IntOf(cores, 300), 1);
+  EXPECT_EQ(IntOf(cores, 400), 0);
+  EXPECT_EQ(Degeneracy(g), 8);
+  const UndirectedGraph five_core = KCoreSubgraph(g, 5);
+  EXPECT_EQ(five_core.NumNodes(), 15);
+  EXPECT_EQ(five_core.NumEdges(), 15 + 36);
+  EXPECT_EQ(KCoreSubgraph(g, 6).SortedNodeIds(),
+            KCoreSubgraph(g, 8).SortedNodeIds());
+}
+
+// ------------------------------------------------------------ components
+
+TEST(AlgoOracle, Components) {
+  for (const auto& fam : testing::DirectedFamilies()) {
+    SCOPED_TRACE(fam.name);
+    EXPECT_EQ(WeaklyConnectedComponents(fam.g),
+              testing::ReferenceComponents(fam.g));
+  }
+  for (const auto& fam : PeelingFamilies()) {
+    SCOPED_TRACE(fam.name);
+    EXPECT_EQ(ConnectedComponents(fam.g), testing::ReferenceComponents(fam.g));
+  }
+}
+
+// Named regression: labels number components by their smallest id, so
+// the self-loop-only node 300 and the isolated node 400 take labels 1
+// and 2 behind the main block.
+TEST(AlgoOracle, ComponentsGoldenPlantedBlocks) {
+  const UndirectedGraph g = testing::PlantedBlocks().g;
+  const ComponentLabels labels = ConnectedComponents(g);
+  ASSERT_EQ(static_cast<int64_t>(labels.size()), g.NumNodes());
+  for (const auto& [id, c] : labels) {
+    EXPECT_EQ(c, id == 300 ? 1 : id == 400 ? 2 : 0) << id;
+  }
 }
 
 // ------------------------------------------------------------ centrality

@@ -4,6 +4,7 @@
 // any reintroduction of a team-size-dependent reduction fails loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -78,6 +79,69 @@ TEST(ConnectivityStress, MatchesBruteForceReachabilityOnSmallGraph) {
             << "nodes " << got[i].first << "," << got[j].first;
       }
     }
+  }
+}
+
+// A directed graph whose large component covers nearly every sampled
+// node, plus 16 outside nodes that the component kernel's sampled first
+// phase cannot reach: each is reachable only through an in-arc from a
+// large-component member with at least two other out-arcs, and sorts past
+// them in that member's out-run (its id is above every member's). Only
+// the pass over the outside nodes' in-runs links them. A two-node
+// component and an isolated node stay apart.
+constexpr NodeId kFirstOutside = 100000;
+constexpr NodeId kOutsideNodes = 16;
+
+DirectedGraph GiantComponentGraph() {
+  DirectedGraph g = testing::RandomDirected(4000, 16000, 0x61A7);
+  NodeId outside = kFirstOutside;
+  for (NodeId member = 5; outside < kFirstOutside + kOutsideNodes;
+       member += 37) {
+    if (g.GetNode(member)->out.size() < 2) continue;
+    g.AddNode(outside);
+    g.AddEdge(member, outside);
+    ++outside;
+  }
+  g.AddNode(200000);
+  g.AddNode(200001);
+  g.AddEdge(200001, 200000);
+  g.AddNode(300000);
+  return g;
+}
+
+TEST(ConnectivityStress, GiantComponentMatchesReferenceAtEveryThreadCount) {
+  const DirectedGraph g = GiantComponentGraph();
+  const ComponentLabels want = testing::ReferenceComponents(g);
+  // The construction holds: every outside node is in the large component.
+  const std::vector<NodeId> large = LargestComponent(want);
+  ASSERT_GT(large.size() * 10, want.size() * 9);
+  for (NodeId x = kFirstOutside; x < kFirstOutside + kOutsideNodes; ++x) {
+    ASSERT_TRUE(std::binary_search(large.begin(), large.end(), x)) << x;
+    ASSERT_EQ(g.GetNode(x)->out.size(), 0u) << x;
+  }
+  for (int tc : StressThreadCounts()) {
+    ScopedNumThreads threads(tc);
+    ASSERT_EQ(WeaklyConnectedComponents(g), want) << "tc=" << tc;
+  }
+}
+
+// LiveJournalSim at 0.05: core numbers and component labels at every
+// stress thread count against the 1-thread output.
+TEST(LiveJournalSimStress, CoresAndLabelsAreThreadCountInvariant) {
+  const std::vector<Edge> edges = gen::LiveJournalSimEdges(0.05);
+  const DirectedGraph d = gen::BuildDirected(edges);
+  const UndirectedGraph u = gen::BuildUndirected(edges);
+  ScopedNumThreads seq(1);
+  const NodeInts cores = CoreNumbers(u);
+  const ComponentLabels weak = WeaklyConnectedComponents(d);
+  const ComponentLabels connected = ConnectedComponents(u);
+  ASSERT_EQ(weak, testing::ReferenceComponents(d));
+  ASSERT_EQ(connected, testing::ReferenceComponents(u));
+  for (int tc : StressThreadCounts()) {
+    ScopedNumThreads threads(tc);
+    ASSERT_EQ(CoreNumbers(u), cores) << "tc=" << tc;
+    ASSERT_EQ(WeaklyConnectedComponents(d), weak) << "tc=" << tc;
+    ASSERT_EQ(ConnectedComponents(u), connected) << "tc=" << tc;
   }
 }
 

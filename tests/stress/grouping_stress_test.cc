@@ -331,10 +331,13 @@ TEST_P(GroupingStress, MatchesOracleAtEveryThreadCount) {
   CheckUnion(a, b_other, "other pool n=" + std::to_string(n));
 }
 
+// Cases are named by row count: tests/CMakeLists.txt runs the kLarge case
+// as its own ctest entry by that name.
 INSTANTIATE_TEST_SUITE_P(Sizes, GroupingStress,
                          ::testing::Values(int64_t{0}, int64_t{1},
                                            kCutoff - 1, kCutoff, kCutoff + 1,
-                                           kLarge));
+                                           kLarge),
+                         ::testing::PrintToStringParamName());
 
 // Wrap-around, all-NaN and mean edge cases on a small hand-built table,
 // spelled out rather than left to the generator.

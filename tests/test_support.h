@@ -16,6 +16,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -242,6 +243,43 @@ inline std::vector<GraphFamily<DirectedGraph>> DirectedFamilies() {
   return fams;
 }
 
+// Planted core structure for the peeling and component kernels: a K6
+// (ids 0..5, core 5) and a K9 (ids 10..18, core 8) joined through hub 40
+// (core 2), so levels 3-4 and 6-7 are empty and must be skipped; a
+// 20-node pendant chain off node 18 (core 1), peeled by one cascade inside
+// level 1; a 5-node chain off node 5 closed by a self-loop at its far end
+// (the self-loop counts 1, so the chain is a 2-core); a node with only a
+// self-loop (core 1); and an isolated node (core 0). Three components.
+inline GraphFamily<UndirectedGraph> PlantedBlocks() {
+  UndirectedGraph g;
+  auto clique = [&g](NodeId first, NodeId size) {
+    for (NodeId i = first; i < first + size; ++i) g.AddNode(i);
+    for (NodeId i = first; i < first + size; ++i) {
+      for (NodeId j = i + 1; j < first + size; ++j) g.AddEdge(i, j);
+    }
+  };
+  auto chain = [&g](NodeId from, NodeId first, NodeId size) {
+    NodeId prev = from;
+    for (NodeId i = first; i < first + size; ++i) {
+      g.AddNode(i);
+      g.AddEdge(prev, i);
+      prev = i;
+    }
+  };
+  clique(10, 9);
+  clique(0, 6);
+  g.AddNode(40);
+  g.AddEdge(40, 0);
+  g.AddEdge(40, 10);
+  chain(18, 100, 20);
+  chain(5, 200, 5);
+  g.AddEdge(204, 204);
+  g.AddNode(300);
+  g.AddEdge(300, 300);
+  g.AddNode(400);
+  return {"planted_blocks", std::move(g)};
+}
+
 // ----------------------------------------------------------------- oracles
 //
 // Every oracle works on positions in SortedNodeIds() (the i-th smallest
@@ -421,6 +459,35 @@ inline double BruteGlobalClustering(const UndirectedGraph& g) {
     wedges += deg * (deg - 1) / 2;
   }
   return wedges > 0 ? static_cast<double>(closed) / wedges : 0.0;
+}
+
+// Component labels by BFS over the graph's own runs (out- and in-runs of
+// a directed graph, so weak components), numbered by first occurrence in
+// ascending id order: component 0 holds the smallest id.
+template <typename Graph>
+NodeInts ReferenceComponents(const Graph& g) {
+  std::map<NodeId, int64_t> label;
+  int64_t components = 0;
+  for (const NodeId root : g.SortedNodeIds()) {
+    if (!label.emplace(root, components).second) continue;
+    std::vector<NodeId> queue = {root};
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const auto node = g.GetNode(queue[head]);
+      auto visit = [&](std::span<const NodeId> run) {
+        for (const NodeId v : run) {
+          if (label.emplace(v, components).second) queue.push_back(v);
+        }
+      };
+      if constexpr (std::is_same_v<Graph, DirectedGraph>) {
+        visit(node->out);
+        visit(node->in);
+      } else {
+        visit(node->nbrs);
+      }
+    }
+    ++components;
+  }
+  return NodeInts(label.begin(), label.end());
 }
 
 // The k-core by naive peeling: delete any node of degree < k until none is
