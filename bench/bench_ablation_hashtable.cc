@@ -1,6 +1,7 @@
 // Ablation — hash table implementation (§2.5): Ringo's open-addressing
-// linear-probing FlatHashMap vs std::unordered_map, plus the concurrent
-// insert-only map and concurrent vector the conversion pipeline relies on.
+// linear-probing FlatHashMap vs std::unordered_map, plus the paper's
+// concurrent insert-only map and concurrent vector (storage/), which no
+// conversion uses: the conversions sort instead (DESIGN.md §7).
 #include <benchmark/benchmark.h>
 
 #include <thread>

@@ -10,11 +10,11 @@
 //   $ ./dynamic_graph
 #include <cstdio>
 
+#include "algo/algo_view.h"
 #include "algo/pagerank.h"
 #include "algo/triangles.h"
 #include "algo/transform.h"
 #include "gen/graph_gen.h"
-#include "graph/csr_graph.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -74,9 +74,10 @@ int main() {
 
   // What would the same updates have cost on a static CSR? One rebuild per
   // batch is the *cheapest* CSR strategy (per-edge deletes are O(|E|)).
+  // AlgoView is the CSR snapshot the analytics read; Build skips its cache.
   ringo::Timer csr_timer;
   for (int batch = 0; batch < kBatches; ++batch) {
-    const ringo::CsrGraph snapshot = ringo::CsrGraph::FromGraph(g);
+    const auto snapshot = ringo::AlgoView::Build(g);
     (void)snapshot;
   }
   const double csr_rebuild_seconds = csr_timer.ElapsedSeconds();

@@ -27,6 +27,11 @@ constexpr int64_t kSeqLevelCutoff = 1 << 11;
 // Bottom-up block: 64 bitmap words, so next-frontier bit writes never
 // straddle a block boundary and need no atomics.
 constexpr int64_t kBlockNodes = 1 << 12;
+// Beamer's switching thresholds. Top-down -> bottom-up when
+// scout * kAlpha > unexplored arcs; bottom-up -> top-down when the
+// frontier shrinks and awake * kBeta < n.
+constexpr double kAlpha = 15.0;
+constexpr double kBeta = 18.0;
 
 class Bitmap {
  public:
@@ -321,16 +326,13 @@ DenseBfs Run(const AlgoView& view, int64_t src, BfsDir dir,
       if (cancel::Checkpoint()) break;
       if (opts.stop_at >= 0 && r.dist[opts.stop_at] != kNoDist) break;
       ++level;
-      if (opts.strategy == Strategy::kAuto) {
-        if (!bottom_up) {
-          bottom_up = static_cast<double>(scout) * opts.alpha >
-                      static_cast<double>(edges_to_check);
-        } else if (awake < prev_awake &&
-                   static_cast<double>(awake) * opts.beta <
-                       static_cast<double>(n)) {
-          // Frontier is shrinking and small again: go back to top-down.
-          bottom_up = false;
-        }
+      if (!bottom_up) {
+        bottom_up = static_cast<double>(scout) * kAlpha >
+                    static_cast<double>(edges_to_check);
+      } else if (awake < prev_awake &&
+                 static_cast<double>(awake) * kBeta < static_cast<double>(n)) {
+        // Frontier is shrinking and small again: go back to top-down.
+        bottom_up = false;
       }
       int64_t new_awake = 0, new_scout = 0;
       if (bottom_up) {

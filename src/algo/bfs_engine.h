@@ -7,12 +7,11 @@
 //   * bottom-up: scan unvisited vertices for any in-frontier predecessor
 //     (bitmap test), writing dist/parent without atomics — vertices are
 //     partitioned into word-aligned blocks so all writes are block-local.
-// Strategy::kAuto switches between them with Beamer's alpha/beta heuristic
-// driven by scanned-edge estimates; Strategy::kTopDown pins top-down (the
-// parity baseline for tests).
+// Beamer's alpha/beta heuristic switches between them, driven by
+// scanned-edge estimates (alpha = 15, beta = 18; bfs_engine.cc).
 //
-// Determinism: results are bit-identical for every thread count, strategy,
-// and step schedule. dist is the unique hop distance. parent is pinned to
+// Determinism: results are bit-identical for every thread count and step
+// schedule. dist is the unique hop distance. parent is pinned to
 // the *minimum-id* predecessor on a shortest path (dense numbering is
 // ascending-id): top-down takes an atomic min over all discoverers,
 // bottom-up takes the first frontier hit in an ascending neighbor scan,
@@ -30,19 +29,11 @@
 namespace ringo {
 namespace bfs {
 
-enum class Strategy : char {
-  kAuto,     // Direction-optimizing (alpha/beta switching).
-  kTopDown,  // Frontier expansion only.
-};
-
 struct Options {
-  Strategy strategy = Strategy::kAuto;
   bool need_parents = false;
   // Dense index to search for; the walk stops after the level that reaches
   // it completes (whole levels only, so parents stay canonical). -1 = full.
   int64_t stop_at = -1;
-  double alpha = 15.0;  // Top-down -> bottom-up: scout*alpha > unexplored.
-  double beta = 18.0;   // Bottom-up -> top-down: shrinking and awake*beta < n.
 };
 
 struct DenseBfs {

@@ -122,17 +122,15 @@ Result<NodeValues> PageRank(const DirectedGraph& g,
   return RunPageRank(g, config, /*seeds=*/nullptr, /*parallel=*/false);
 }
 
-Result<std::vector<double>> PageRankScoresOnView(const AlgoView& view,
-                                                 const PageRankConfig& config,
-                                                 bool parallel) {
+Result<std::vector<double>> PageRankScoresOnView(
+    const AlgoView& view, const PageRankConfig& config) {
   RINGO_RETURN_NOT_OK(ValidateConfig(config));
   const int64_t n = view.NumNodes();
   if (n == 0) return std::vector<double>{};
   trace::Span span("Algo/PageRankOnView");
   span.AddAttr("nodes", n);
-  span.AddAttr("parallel", static_cast<int64_t>(parallel ? 1 : 0));
   const std::vector<double> teleport(n, 1.0 / static_cast<double>(n));
-  return DenseScores(view, config, teleport, parallel, span);
+  return DenseScores(view, config, teleport, /*parallel=*/false, span);
 }
 
 Result<NodeValues> ParallelPageRank(const DirectedGraph& g,

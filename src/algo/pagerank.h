@@ -67,10 +67,10 @@ Result<NodeValues> ParallelPageRankWarm(const DirectedGraph& g,
 // view.node_index() for ids). This is the serving-engine entry point: a
 // query pins one view and never touches the live graph, so it is safe
 // under concurrent writers (DESIGN.md §12) and honors the calling thread's
-// cancellation token.
+// cancellation token. Runs on the calling thread: the engine already runs
+// queries side by side on its workers.
 Result<std::vector<double>> PageRankScoresOnView(
-    const AlgoView& view, const PageRankConfig& config = {},
-    bool parallel = true);
+    const AlgoView& view, const PageRankConfig& config = {});
 
 // Personalized PageRank: teleport jumps back to `seeds` (uniformly) instead
 // of to all nodes. Fails if seeds is empty or contains unknown nodes.

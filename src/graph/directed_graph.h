@@ -2,9 +2,10 @@
 // table of nodes, each with sorted in- and out-neighbour runs, balances
 // the paper's two opposing requirements: membership tests are O(log deg)
 // and intersections linear merges, while deleting an edge costs O(deg),
-// not O(|E|) as in CSR (graph/csr_graph.h). The runs live in two
-// per-graph arenas, one per direction (graph/adjacency_core.h, DESIGN.md
-// §18), which also describes span lifetime and concurrency.
+// not O(|E|) as in a CSR, which AlgoView (algo/algo_view.h) rebuilds.
+// The runs live in two per-graph arenas, one per direction
+// (graph/adjacency_core.h, DESIGN.md §18), which also describes span
+// lifetime and concurrency.
 //
 // Semantics: simple directed graph. Self-loops are allowed; parallel
 // (duplicate) edges are not.

@@ -21,8 +21,7 @@ namespace {
 
 // Runs one query against its pinned context. Pure function of the context
 // (plus wall time for kSleep); fills rows/checksum/status.
-void RunKernel(const Query& q, const QueryContext& ctx, bool parallel,
-               QueryResult* r) {
+void RunKernel(const Query& q, const QueryContext& ctx, QueryResult* r) {
   switch (q.kind) {
     case QueryKind::kBfs: {
       const int64_t src = ctx.view->node_index().IndexOf(q.source);
@@ -44,7 +43,7 @@ void RunKernel(const Query& q, const QueryContext& ctx, bool parallel,
       cfg.max_iters = q.iters;
       cfg.tol = 0;  // Fixed round count, like the paper's timed runs.
       Result<std::vector<double>> scores =
-          PageRankScoresOnView(*ctx.view, cfg, parallel);
+          PageRankScoresOnView(*ctx.view, cfg);
       if (!scores.ok()) {
         r->status = scores.status();
         return;
@@ -217,7 +216,7 @@ QueryResult Engine::Execute(const Session& session, const Query& q,
   r.snapshot_stamp = ctx.snapshot_stamp;
   span.AddAttr("stamp", static_cast<int64_t>(ctx.snapshot_stamp));
 
-  RunKernel(q, ctx, opts_.parallel_kernels, &r);
+  RunKernel(q, ctx, &r);
 
   if (r.status.ok() && token.ShouldStop()) {
     // The kernel was cut short (or the deadline passed as it finished):

@@ -41,10 +41,6 @@ struct EngineOptions {
   // Default relative deadline for queries that don't set one; <= 0 means
   // no deadline.
   int64_t default_deadline_ms = 0;
-  // Run kernels with intra-query parallelism. Off by default: the engine
-  // already parallelizes across queries, and nesting OpenMP teams under
-  // several worker threads oversubscribes the machine.
-  bool parallel_kernels = false;
 };
 
 class Engine {

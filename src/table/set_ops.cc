@@ -1,13 +1,16 @@
 // Set operations over whole rows (§2.3): Union, Intersect, Minus with set
-// (distinct) semantics. Implemented by sorting a row permutation of each
-// input and merging — no hashing of composite rows needed, and string
-// columns compare correctly across different pools.
+// (distinct) semantics, on the first-occurrence grouping kernel
+// (table/group_by.cc) instead of a sort. Each concatenates a and b
+// (ConcatTables interns b's strings into a's pool, so strings compare by
+// bytes across pools) and groups the concatenation by every column, so
+// rows are equal as GroupByAggregate's keys are: all NaNs equal, -0.0
+// equal to +0.0. Union keeps every group's first row. Intersect and Minus
+// keep the first row of each group that a opens and that does, or does
+// not, also hold a row of b, gathered from a: a's row order and row ids.
 #include <numeric>
 
 #include "table/key_normalize.h"
-#include "table/row_compare.h"
 #include "table/table.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace ringo {
@@ -23,39 +26,6 @@ Status CheckSameSchema(const Table& a, const Table& b) {
   return Status::OK();
 }
 
-std::vector<int> AllColumns(const Table& t) {
-  std::vector<int> idx(t.num_columns());
-  std::iota(idx.begin(), idx.end(), 0);
-  return idx;
-}
-
-// First physical row of each distinct full-row-content run, in content
-// order. Radix path for tables of 1–2 columns (the normalized key order
-// equals RowComparator's byte/value order, so the result stays consistent
-// with the cross-table merge-walks below); comparison sort otherwise.
-std::vector<int64_t> SortedDistinctFirsts(const Table& t,
-                                          const RowComparator& cmp) {
-  std::vector<int64_t> perm;
-  std::vector<uint8_t> new_run;
-  std::vector<int64_t> firsts;
-  if (internal::SortedPermByKeys(t, AllColumns(t), {}, &perm, &new_run)) {
-    for (size_t i = 0; i < perm.size(); ++i) {
-      if (new_run[i]) firsts.push_back(perm[i]);
-    }
-    return firsts;
-  }
-  perm.resize(t.NumRows());
-  std::iota(perm.begin(), perm.end(), 0);
-  ParallelSort(perm.begin(), perm.end(), [&](int64_t x, int64_t y) {
-    const int c = cmp.Compare(x, y);
-    return c != 0 ? c < 0 : x < y;
-  });
-  for (size_t i = 0; i < perm.size(); ++i) {
-    if (i == 0 || !cmp.Equal(perm[i - 1], perm[i])) firsts.push_back(perm[i]);
-  }
-  return firsts;
-}
-
 }  // namespace
 
 Result<TablePtr> Table::UnionTables(const Table& a, const Table& b) {
@@ -63,27 +33,28 @@ Result<TablePtr> Table::UnionTables(const Table& a, const Table& b) {
   trace::Span span("Table/Union");
   span.AddAttr("left_rows", a.NumRows());
   span.AddAttr("right_rows", b.NumRows());
-  // Concatenate (interning b's strings into a's pool), then dedupe.
-  TablePtr cat = Create(a.schema(), a.pool());
+  RINGO_ASSIGN_OR_RETURN(TablePtr cat, ConcatTables(a, b));
   std::vector<std::string> names;
   for (const ColumnSpec& c : a.schema().columns()) names.push_back(c.name);
-  for (int c = 0; c < a.num_columns(); ++c) {
-    cat->mutable_column(c).AppendColumn(a.column(c));
-  }
-  const bool same_pool = a.pool() == b.pool();
-  for (int c = 0; c < b.num_columns(); ++c) {
-    Column& dst = cat->mutable_column(c);
-    const Column& src = b.column(c);
-    if (src.type() == ColumnType::kString && !same_pool) {
-      for (int64_t r = 0; r < b.NumRows(); ++r) {
-        dst.AppendStr(a.pool()->GetOrAdd(b.pool()->Get(src.GetStr(r))));
-      }
-    } else {
-      dst.AppendColumn(src);
-    }
-  }
-  RINGO_RETURN_NOT_OK(cat->SealAppendedRows(a.NumRows() + b.NumRows()));
   return cat->Unique(names);
+}
+
+Result<TablePtr> Table::DistinctRowsOfA(const Table& a, const Table& b,
+                                        bool in_b) {
+  RINGO_ASSIGN_OR_RETURN(TablePtr cat, ConcatTables(a, b));
+  std::vector<int> cols(cat->num_columns());
+  std::iota(cols.begin(), cols.end(), 0);
+  std::vector<int64_t> gid;
+  const internal::RowGroups g = internal::GroupRows(*cat, cols, &gid);
+  std::vector<uint8_t> has_b(g.first.size(), 0);
+  for (int64_t r = a.NumRows(); r < cat->NumRows(); ++r) has_b[gid[r]] = 1;
+  // Groups are numbered by first occurrence, so the groups a opens come
+  // first, in a's row order.
+  std::vector<int64_t> keep;
+  for (size_t k = 0; k < g.first.size() && g.first[k] < a.NumRows(); ++k) {
+    if ((has_b[k] != 0) == in_b) keep.push_back(g.first[k]);
+  }
+  return a.GatherRows(keep);
 }
 
 Result<TablePtr> Table::IntersectTables(const Table& a, const Table& b) {
@@ -91,32 +62,7 @@ Result<TablePtr> Table::IntersectTables(const Table& a, const Table& b) {
   trace::Span span("Table/Intersect");
   span.AddAttr("left_rows", a.NumRows());
   span.AddAttr("right_rows", b.NumRows());
-  const std::vector<int> cols_a = AllColumns(a);
-  const std::vector<int> cols_b = AllColumns(b);
-  RowComparator cmp_a(&a, &a, cols_a, cols_a);
-  RowComparator cmp_b(&b, &b, cols_b, cols_b);
-  RowComparator cross(&a, &b, cols_a, cols_b);
-
-  const std::vector<int64_t> da = SortedDistinctFirsts(a, cmp_a);
-  const std::vector<int64_t> db = SortedDistinctFirsts(b, cmp_b);
-
-  // Merge-walk the two sorted distinct row lists.
-  std::vector<int64_t> keep;
-  size_t i = 0, j = 0;
-  while (i < da.size() && j < db.size()) {
-    const int c = cross.Compare(da[i], db[j]);
-    if (c == 0) {
-      keep.push_back(da[i]);
-      ++i;
-      ++j;
-    } else if (c < 0) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  std::sort(keep.begin(), keep.end());  // First-occurrence order in a.
-  return a.GatherRows(keep);
+  return DistinctRowsOfA(a, b, /*in_b=*/true);
 }
 
 Result<TablePtr> Table::MinusTables(const Table& a, const Table& b) {
@@ -124,34 +70,7 @@ Result<TablePtr> Table::MinusTables(const Table& a, const Table& b) {
   trace::Span span("Table/Minus");
   span.AddAttr("left_rows", a.NumRows());
   span.AddAttr("right_rows", b.NumRows());
-  const std::vector<int> cols_a = AllColumns(a);
-  const std::vector<int> cols_b = AllColumns(b);
-  RowComparator cmp_a(&a, &a, cols_a, cols_a);
-  RowComparator cmp_b(&b, &b, cols_b, cols_b);
-  RowComparator cross(&a, &b, cols_a, cols_b);
-
-  const std::vector<int64_t> da = SortedDistinctFirsts(a, cmp_a);
-  const std::vector<int64_t> db = SortedDistinctFirsts(b, cmp_b);
-
-  std::vector<int64_t> keep;
-  size_t i = 0, j = 0;
-  while (i < da.size()) {
-    if (j >= db.size()) {
-      keep.push_back(da[i++]);
-      continue;
-    }
-    const int c = cross.Compare(da[i], db[j]);
-    if (c == 0) {
-      ++i;
-      ++j;
-    } else if (c < 0) {
-      keep.push_back(da[i++]);
-    } else {
-      ++j;
-    }
-  }
-  std::sort(keep.begin(), keep.end());
-  return a.GatherRows(keep);
+  return DistinctRowsOfA(a, b, /*in_b=*/false);
 }
 
 }  // namespace ringo

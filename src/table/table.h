@@ -241,8 +241,15 @@ class Table {
   // -------------------------------------------------------------- set ops
   // Set semantics over whole rows; schemas must match by name and type.
   // Union returns the distinct rows of a ∪ b; Intersect the distinct rows
-  // of a present in b; Minus the distinct rows of a absent from b. Row
-  // order follows first occurrence in a (then b for Union).
+  // of a present in b; Minus the distinct rows of a absent from b. Rows
+  // are equal when every cell is, with GroupByAggregate's key equality:
+  // ints by value, floats with all NaNs equal and -0.0 equal to +0.0,
+  // strings by bytes, across pools too. Each runs ConcatTables(a, b) and
+  // the grouping kernel over every column: O(|a| + |b|), no sort. Row
+  // order follows first occurrence in a (then b for Union). Intersect and
+  // Minus keep a's row ids; Union's row ids are its rows' positions in a
+  // then b. When b has its own pool, all three intern b's strings into
+  // a's pool, which can grow.
   static Result<TablePtr> UnionTables(const Table& a, const Table& b);
   static Result<TablePtr> IntersectTables(const Table& a, const Table& b);
   static Result<TablePtr> MinusTables(const Table& a, const Table& b);
@@ -329,6 +336,9 @@ class Table {
   void CompactKeep(const std::vector<int64_t>& keep);
   // Gathers rows into a fresh table (row ids preserved).
   TablePtr GatherRows(const std::vector<int64_t>& idx) const;
+  // IntersectTables (in_b) or MinusTables (!in_b) past the schema check.
+  static Result<TablePtr> DistinctRowsOfA(const Table& a, const Table& b,
+                                          bool in_b);
   // Evaluates a typed single-column comparison into `keep` (ascending).
   Status EvalPredicate(std::string_view col, CmpOp op, const Value& value,
                        std::vector<int64_t>* keep) const;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "algo/algo_view.h"
 #include "algo/bfs_engine.h"
@@ -154,8 +158,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BfsProperty, ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------
 // Parity suite: the direction-optimizing engine against the legacy
-// sequential deque + hash-map BFS it replaced, and against its own
-// top-down-only strategy.
+// sequential deque + hash-map BFS it replaced.
 
 template <typename Expand>
 NodeInts LegacyBfs(NodeId src, const Expand& expand) {
@@ -240,20 +243,45 @@ TEST(BfsParityTest, ChainAndDisconnected) {
   ExpectDirectedParity(two, 999);
 }
 
-TEST(BfsParityTest, StrategiesAgreeOnDistAndParent) {
+TEST(BfsParityTest, DistAndParentMatchOracle) {
+  // The engine, bottom-up steps included, against LegacyBfs' distances,
+  // and every parent against the minimum-id predecessor one level up,
+  // read off the graph's own adjacency.
   const DirectedGraph g =
       gen::BuildDirected(gen::RMatEdges(9, 4000, 13).ValueOrDie());
   const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const int64_t n = view->NumNodes();
   for (BfsDir dir : {BfsDir::kOut, BfsDir::kBoth}) {
-    bfs::Options auto_opts, td_opts;
-    auto_opts.need_parents = td_opts.need_parents = true;
-    td_opts.strategy = bfs::Strategy::kTopDown;
-    const bfs::DenseBfs a = bfs::Run(*view, 0, dir, auto_opts);
-    const bfs::DenseBfs b = bfs::Run(*view, 0, dir, td_opts);
-    EXPECT_EQ(a.dist, b.dist);
-    EXPECT_EQ(a.parent, b.parent);
-    EXPECT_EQ(a.reached, b.reached);
-    EXPECT_EQ(a.max_depth, b.max_depth);
+    const std::string what = "dir=" + std::to_string(static_cast<int>(dir));
+    bfs::Options opts;
+    opts.need_parents = true;
+    const bfs::DenseBfs r = bfs::Run(*view, 0, dir, opts);
+    EXPECT_GT(r.bottom_up_steps, 0) << what;
+
+    std::vector<int64_t> dist(n, -1);
+    for (const auto& [id, d] : LegacyBfs(g, view->IdOf(0), dir)) {
+      dist[view->IndexOf(id)] = d;
+    }
+    std::vector<int64_t> parent(n, -1);
+    for (int64_t v = 0; v < n; ++v) {
+      if (dist[v] <= 0) continue;
+      const auto nd = g.GetNode(view->IdOf(v));
+      NodeId best = std::numeric_limits<NodeId>::max();
+      auto consider = [&](NodeId u) {
+        if (dist[view->IndexOf(u)] == dist[v] - 1) best = std::min(best, u);
+      };
+      for (NodeId u : nd->in) consider(u);
+      if (dir == BfsDir::kBoth) {
+        for (NodeId u : nd->out) consider(u);
+      }
+      parent[v] = view->IndexOf(best);
+    }
+    EXPECT_EQ(r.dist, dist) << what;
+    EXPECT_EQ(r.parent, parent) << what;
+    EXPECT_EQ(r.reached, n - std::count(dist.begin(), dist.end(), -1))
+        << what;
+    EXPECT_EQ(r.max_depth, *std::max_element(dist.begin(), dist.end()))
+        << what;
   }
 }
 

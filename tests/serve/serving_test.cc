@@ -116,7 +116,7 @@ TEST_F(ServingTest, PageRankQueryMatchesDirectRun) {
   cfg.max_iters = 7;
   cfg.tol = 0;
   const Result<std::vector<double>> scores =
-      PageRankScoresOnView(*AlgoView::Of(g), cfg, /*parallel=*/false);
+      PageRankScoresOnView(*AlgoView::Of(g), cfg);
   ASSERT_TRUE(scores.ok());
   double sum = 0.0;
   for (size_t i = 0; i < scores->size(); ++i) {

@@ -2,8 +2,9 @@
 // to 4 threads.
 //
 //   * GroupByAggregate with every AggFn over 1, 2 and 3 key columns (and a
-//     near-unique key), GroupIndex, Unique and UnionTables, against the
-//     std::map oracle over each row's key tuple.
+//     near-unique key), GroupIndex, Unique, and UnionTables,
+//     IntersectTables and MinusTables (b in a's pool and in its own),
+//     against std::map and std::set oracles over each row's key tuple.
 //   * TopK ascending and descending with k in {0, 1, 7, n-1, n, n+1},
 //     against std::stable_sort with the NaN-last order.
 //
@@ -21,8 +22,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -270,18 +271,23 @@ void CheckTopK(const TablePtr& t, bool short_list, const std::string& label) {
   }
 }
 
+// Row r of t as the oracle's key tuple: every cell's RefGroupCell.
+std::vector<std::string> RowKey(const Table& t, int64_t r) {
+  std::vector<std::string> key;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    key.push_back(RefGroupCell(t, c, r));
+  }
+  return key;
+}
+
 // UnionTables of two tie-heavy projections: the distinct rows of a then
 // b, by first occurrence. `b` may live in another pool.
 void CheckUnion(const TablePtr& a, const TablePtr& b, const std::string& label) {
   std::vector<std::pair<const Table*, int64_t>> want;
-  std::map<std::vector<std::string>, int> seen;
+  std::set<std::vector<std::string>> seen;
   for (const Table* t : {a.get(), b.get()}) {
     for (int64_t r = 0; r < t->NumRows(); ++r) {
-      std::vector<std::string> key;
-      for (int c = 0; c < t->num_columns(); ++c) {
-        key.push_back(RefGroupCell(*t, c, r));
-      }
-      if (seen.emplace(std::move(key), 0).second) want.push_back({t, r});
+      if (seen.insert(RowKey(*t, r)).second) want.push_back({t, r});
     }
   }
   for (int threads = 1; threads <= kMaxThreads; ++threads) {
@@ -296,6 +302,33 @@ void CheckUnion(const TablePtr& a, const TablePtr& b, const std::string& label) 
       if (!SameRow(**u, i, *want[i].first, want[i].second)) bad = i;
     }
     EXPECT_EQ(bad, -1) << what << ": differs first at row " << bad;
+  }
+}
+
+// IntersectTables and MinusTables of the same projections: a's distinct
+// rows that do, and do not, occur in b, by first occurrence in a, each
+// with a's row id.
+void CheckIntersectAndMinus(const TablePtr& a, const TablePtr& b,
+                            const std::string& label) {
+  std::set<std::vector<std::string>> in_b, seen;
+  for (int64_t r = 0; r < b->NumRows(); ++r) in_b.insert(RowKey(*b, r));
+  std::vector<int64_t> want_intersect, want_minus;
+  for (int64_t r = 0; r < a->NumRows(); ++r) {
+    std::vector<std::string> key = RowKey(*a, r);
+    const bool hit = in_b.count(key) > 0;
+    if (seen.insert(std::move(key)).second) {
+      (hit ? want_intersect : want_minus).push_back(r);
+    }
+  }
+  for (int threads = 1; threads <= kMaxThreads; ++threads) {
+    ScopedNumThreads scope(threads);
+    const std::string at = " @" + std::to_string(threads) + " threads";
+    auto i = Table::IntersectTables(*a, *b);
+    ASSERT_TRUE(i.ok()) << label << at << ": " << i.status();
+    ExpectGathered(**i, *a, want_intersect, label + " IntersectTables" + at);
+    auto m = Table::MinusTables(*a, *b);
+    ASSERT_TRUE(m.ok()) << label << at << ": " << m.status();
+    ExpectGathered(**m, *a, want_minus, label + " MinusTables" + at);
   }
 }
 
@@ -320,15 +353,33 @@ TEST_P(GroupingStress, MatchesOracleAtEveryThreadCount) {
     CheckTopK(t, short_list, tag);
   }
 
-  // Union: b shares a's pool, then lives in its own (strings re-interned).
+  // Set operations: a is a projection with every fifth row dropped, so
+  // its row ids differ from its positions, plain and encoded; b shares
+  // a's pool, then lives in its own (strings re-interned).
   const std::vector<std::string> cols = {"g", "s", "f"};
-  const TablePtr a = *plain->Project(cols);
+  const TablePtr a_plain = (*plain->Project(cols))->SelectRows(
+      [](const Table&, int64_t r) { return r % 5 != 4; });
+  auto a_encoded = std::make_shared<Table>(*a_plain);
+  const int64_t a_encoded_cols = a_encoded->EncodeColumns();
+  if (n >= kCutoff) {
+    EXPECT_GE(a_encoded_cols, 2);  // s and f (dictionary) at least.
+  }
   const TablePtr b_same = *MakeTable(n / 2 + 1, 7700 + n, pool)->Project(cols);
   const TablePtr b_other =
       *MakeTable(n / 2 + 1, 7700 + n, std::make_shared<StringPool>())
            ->Project(cols);
-  CheckUnion(a, b_same, "same pool n=" + std::to_string(n));
-  CheckUnion(a, b_other, "other pool n=" + std::to_string(n));
+  for (const auto& [a, a_label] :
+       {std::pair{a_plain, std::string("plain")},
+        std::pair{TablePtr(a_encoded), std::string("encoded")}}) {
+    for (const auto& [b, b_label] :
+         {std::pair{b_same, std::string("same pool")},
+          std::pair{b_other, std::string("other pool")}}) {
+      const std::string tag =
+          a_label + " a, " + b_label + " n=" + std::to_string(n);
+      CheckUnion(a, b, tag);
+      CheckIntersectAndMinus(a, b, tag);
+    }
+  }
 }
 
 // Cases are named by row count: tests/CMakeLists.txt runs the kLarge case

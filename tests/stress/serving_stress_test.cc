@@ -66,8 +66,7 @@ Fingerprint FingerprintView(const AlgoView& view) {
   PageRankConfig cfg;
   cfg.max_iters = 5;
   cfg.tol = 0;
-  const Result<std::vector<double>> pr =
-      PageRankScoresOnView(view, cfg, /*parallel=*/false);
+  const Result<std::vector<double>> pr = PageRankScoresOnView(view, cfg);
   if (pr.ok()) {
     for (size_t i = 0; i < pr->size(); ++i) {
       fp.pr_sum += (*pr)[i] * static_cast<double>(
