@@ -5,9 +5,10 @@ Usage: scripts/check_trace.py BENCH_conversions_trace.json
 
 Structural gate for the observability layer, run by run_bench.sh and the
 CI bench-smoke job: asserts the export is well-formed trace_event JSON and
-that the TableToGraph conversion recorded its root span plus the sort /
-count / fill phase children. Timings are deliberately NOT checked — this
-must stay green on slow CI machines.
+that the TableToGraph and TableToUndirectedGraph conversions recorded their
+root spans (with rows / nodes / edges) plus the extract / sort / count /
+fill phase children. Timings are deliberately NOT checked — this must stay
+green on slow CI machines.
 """
 import json
 import sys
@@ -50,26 +51,24 @@ def main():
             fail(f"event {i} has bad dur: {ev['dur']!r}")
 
     names = {ev["name"] for ev in events}
-    required = [
-        "TableToGraph",
-        "TableToGraph/sort",
-        "TableToGraph/count",
-        "TableToGraph/fill",
-    ]
+    roots = ("TableToGraph", "TableToUndirectedGraph")
+    phases = ("extract", "sort", "count", "fill")
+    required = list(roots) + [f"{r}/{p}" for r in roots for p in phases]
     missing = [n for n in required if n not in names]
     if missing:
         fail(f"missing spans {missing}; recorded names: {sorted(names)}")
 
-    # The conversion root span must carry its size attributes.
-    root = next(ev for ev in events if ev["name"] == "TableToGraph")
-    args = root.get("args", {})
-    for key in ("rows", "nodes", "edges"):
-        if key not in args:
-            fail(f"TableToGraph span lacks args['{key}']: {args}")
+    # Each conversion root span must carry its size attributes.
+    for name in roots:
+        root = next(ev for ev in events if ev["name"] == name)
+        args = root.get("args", {})
+        for key in ("rows", "nodes", "edges"):
+            if key not in args:
+                fail(f"{name} span lacks args['{key}']: {args}")
 
     print(
         f"check_trace: OK: {len(events)} events, {len(names)} distinct "
-        f"spans, TableToGraph phases present"
+        f"spans, TableToGraph and TableToUndirectedGraph phases present"
     )
 
 

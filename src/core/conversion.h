@@ -1,24 +1,29 @@
 // Table ↔ graph conversions (§2.4) — the heart of Ringo's integration of
 // relational and graph processing.
 //
-// Table → graph uses the paper's "sort-first" algorithm:
-//   1. copy the source and destination columns;
-//   2. turn every row into arc records and parallel-sort them: the forward
-//      arcs u→v (out-adjacency order) and the reversed arcs v→u
-//      (in-adjacency order), or for the undirected build both orientations
-//      in one array. An arc is one packed uint64 key when the id span fits
-//      in 32 bits per endpoint, a 128-bit (u, v) pair otherwise;
-//   3. count: find every array's head boundaries in parallel parts (count,
-//      prefix sum, write), then merge the head lists into the ascending
-//      node list and every node's run bounds — so the node table and the
-//      arenas are sized exactly, with no dynamic growth on the hot path;
-//   4. fill: write the distinct arcs' tails back to back in parallel parts.
-//      That is already each direction's arena, every run at exact
-//      capacity, so the graph takes it as is and only inserts its node
-//      table (graph/adjacency_core.h, DESIGN.md §18).
+// Table → graph runs the paper's "sort-first" algorithm partition-first
+// (DESIGN.md §7):
+//   1. extract: read the source and destination columns in place (no
+//      copy) and scatter every row's arcs once into partitions by the top
+//      bits of the head's id offset: the forward arcs u→v (out-adjacency)
+//      and the reversed arcs v→u (in-adjacency), or for the undirected
+//      build both orientations in one array. An arc is one packed 64-bit
+//      key when the id span fits in 32 bits per endpoint, a 128-bit
+//      (u, v) pair otherwise;
+//   2. sort: each worker sorts one partition at a time while it sits in
+//      cache, drops repeated arcs, notes every head's run and writes the
+//      distinct tails in place; finished partitions move down back to
+//      back, so each arc array becomes its direction's arena;
+//   3. count: prefix sums over the partitions give the ascending node
+//      list and every node's run bounds — the node table and the arenas
+//      are sized exactly, with no dynamic growth on the hot path;
+//   4. fill: the graph takes the arenas as they are, every run at exact
+//      capacity, and only inserts its node table
+//      (graph/adjacency_core.h, DESIGN.md §18).
 //
 // Graph → table pre-allocates the output and assigns each thread a disjoint
-// slice of nodes and output rows.
+// slice of nodes and output rows; a node's rows are one fill of its id and
+// one copy of its out-run.
 //
 // Node ids come from int columns directly; string columns are allowed and
 // use their interned pool ids as node ids (GraphToTable can resolve them
@@ -36,17 +41,15 @@
 
 namespace ringo {
 
-// Sort-first conversion (parallel). Duplicate (src, dst) rows collapse to
-// one edge.
+// Sort-first conversion (parallel, partition-first). Duplicate (src, dst)
+// rows collapse to one edge.
 Result<DirectedGraph> TableToGraph(const Table& t, std::string_view src_col,
                                    std::string_view dst_col);
 
 // Sort-first conversion restricted to the given ascending physical row
-// subset (from Table::MatchingRows): the extract phase gathers only the
+// subset (from Table::MatchingRows): the extract phase reads only the
 // kept rows, so a Select feeding a graph build never materializes the
-// filtered table. Produces exactly TableToGraph(select(t), ...) — the kept
-// (src, dst) pairs enter the sort in the same relative order a gathered
-// table would give them.
+// filtered table. Produces exactly TableToGraph(select(t), ...).
 Result<DirectedGraph> TableToGraphFiltered(const Table& t,
                                            std::string_view src_col,
                                            std::string_view dst_col,

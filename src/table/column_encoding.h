@@ -40,6 +40,38 @@ inline uint64_t UnpackBits(const uint64_t* w, int64_t i, int bits) {
   return v & ((uint64_t{1} << bits) - 1);
 }
 
+// Calls fn(i, code i) for every i in [lo, hi) of a stream packed at `bits`
+// bits each (bits in [0, 63]; at 0 every code is 0). The stream is read a
+// word at a time, each code shifted out of the current word (and the low
+// bits of the next where it straddles), instead of being located from
+// scratch per row as UnpackBits does.
+template <typename Fn>
+inline void ForEachCode(const uint64_t* w, int bits, int64_t lo, int64_t hi,
+                        Fn&& fn) {
+  if (lo >= hi) return;
+  if (bits == 0) {
+    for (int64_t i = lo; i < hi; ++i) fn(i, uint64_t{0});
+    return;
+  }
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  const uint64_t bitpos = static_cast<uint64_t>(lo) * bits;
+  const uint64_t* word = w + (bitpos >> 6);
+  int off = static_cast<int>(bitpos & 63);
+  uint64_t cur = *word;
+  for (int64_t i = lo; i < hi; ++i) {
+    uint64_t v = cur >> off;
+    off += bits;
+    if (off >= 64) {
+      off -= 64;
+      // Past this word: load the next one if the code straddles into it
+      // or another code follows (never past the stream's end).
+      if (off > 0 || i + 1 < hi) cur = *++word;
+      if (off > 0) v |= cur << (bits - off);
+    }
+    fn(i, v & mask);
+  }
+}
+
 // Packs `codes` at `bits` bits each (bits in [1, 63], every code < 2^bits).
 std::vector<uint64_t> PackCodes(std::span<const uint64_t> codes, int bits);
 

@@ -159,22 +159,38 @@ std::string Table::ToString(int64_t max_rows) const {
 
 namespace {
 
+// Calls body(cmp) with cmp the comparison `op` names.
+template <typename T, typename Body>
+void WithCmp(CmpOp op, Body&& body) {
+  switch (op) {
+    case CmpOp::kEq: body([](const T& a, const T& b) { return a == b; }); break;
+    case CmpOp::kNe: body([](const T& a, const T& b) { return a != b; }); break;
+    case CmpOp::kLt: body([](const T& a, const T& b) { return a < b; }); break;
+    case CmpOp::kLe: body([](const T& a, const T& b) { return a <= b; }); break;
+    case CmpOp::kGt: body([](const T& a, const T& b) { return a > b; }); break;
+    case CmpOp::kGe: body([](const T& a, const T& b) { return a >= b; }); break;
+  }
+}
+
 // Typed predicate evaluation over one column; writes 0/1 flags.
 template <typename T, typename Get>
 void EvalTyped(int64_t n, CmpOp op, T rhs, const Get& get, uint8_t* out) {
-  auto run = [&](auto cmp) {
+  WithCmp<T>(op, [&](auto cmp) {
     ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) out[i] = cmp(get(i), rhs) ? 1 : 0;
     });
-  };
-  switch (op) {
-    case CmpOp::kEq: run([](const T& a, const T& b) { return a == b; }); break;
-    case CmpOp::kNe: run([](const T& a, const T& b) { return a != b; }); break;
-    case CmpOp::kLt: run([](const T& a, const T& b) { return a < b; }); break;
-    case CmpOp::kLe: run([](const T& a, const T& b) { return a <= b; }); break;
-    case CmpOp::kGt: run([](const T& a, const T& b) { return a > b; }); break;
-    case CmpOp::kGe: run([](const T& a, const T& b) { return a >= b; }); break;
-  }
+  });
+}
+
+// Flags every row by its packed code: out[i] = flag(code i), the codes
+// walked a word at a time in parallel ranges.
+template <typename Flag>
+void EvalCodes(const EncodedColumn& e, int64_t n, const Flag& flag,
+               uint8_t* out) {
+  ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
+    ForEachCode(e.words.data(), e.bits, lo, hi,
+                [&](int64_t i, uint64_t code) { out[i] = flag(code); });
+  });
 }
 
 // Dictionary fast path: a dict-encoded column has few distinct values, so
@@ -189,9 +205,7 @@ void EvalDictCodes(const EncodedColumn& e, int64_t dict_count, int64_t n,
                    uint8_t* out) {
   std::vector<uint8_t> match(static_cast<size_t>(dict_count));
   EvalTyped<T>(dict_count, op, rhs, dict_at, match.data());
-  ParallelForRange(0, n, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) out[i] = match[e.Code(i)];
-  });
+  EvalCodes(e, n, [&](uint64_t code) { return match[code]; }, out);
 }
 
 // Writes the indices i in [lo, hi) with flags[i] == 1 to `out`, in
@@ -281,10 +295,14 @@ Status Table::EvalPredicateFlags(std::string_view col, CmpOp op,
         const __int128 hi = static_cast<__int128>(int64_t{1} << e->bits);
         const int64_t t =
             static_cast<int64_t>(wide < -1 ? -1 : (wide > hi ? hi : wide));
-        EvalTyped<int64_t>(
-            num_rows_, op, t,
-            [&](int64_t i) { return static_cast<int64_t>(e->Code(i)); },
-            flags);
+        WithCmp<int64_t>(op, [&](auto cmp) {
+          EvalCodes(
+              *e, num_rows_,
+              [&](uint64_t code) {
+                return cmp(static_cast<int64_t>(code), t) ? 1 : 0;
+              },
+              flags);
+        });
       } else {
         EvalTyped<int64_t>(num_rows_, op, rhs,
                            [&](int64_t i) { return c.GetInt(i); }, flags);

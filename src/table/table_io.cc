@@ -576,7 +576,8 @@ uint64_t MaxCode(const EncodedColumn& ec, int64_t n) {
   ParallelFor(0, nblocks, [&](int64_t b) {
     const int64_t end = std::min(n, (b + 1) * kBlock);
     uint64_t m = 0;
-    for (int64_t i = b * kBlock; i < end; ++i) m = std::max(m, ec.Code(i));
+    ForEachCode(ec.words.data(), ec.bits, b * kBlock, end,
+                [&](int64_t, uint64_t code) { m = std::max(m, code); });
     part[b] = m;
   });
   return nblocks == 0 ? 0 : *std::max_element(part.begin(), part.end());

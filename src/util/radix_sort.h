@@ -94,10 +94,15 @@ constexpr int64_t kRadixTinyCutoff = 256;
 // assignable (plain structs of scalars; std::pair of scalars qualifies
 // despite its user-provided assignment operator).
 //
+// `scratch`, when given, must hold n records: the sort then runs as one
+// part on the calling thread and ping-pongs through it instead of
+// allocating its own — the form for a caller that sorts many small arrays
+// inside its own parallel loop (the table→graph conversions' partitions).
+//
 // Returns the number of scatter passes executed (0 when the tiny-input
 // stable_sort leaf ran) — the observability layer records it per sort.
 template <int W, typename R, typename KeyFn>
-int LsdRadixSort(R* data, int64_t n, KeyFn key_of) {
+int LsdRadixSort(R* data, int64_t n, KeyFn key_of, R* scratch = nullptr) {
   static_assert(W >= 1);
   static_assert(std::is_trivially_destructible_v<R> &&
                     std::is_copy_assignable_v<R> &&
@@ -115,7 +120,9 @@ int LsdRadixSort(R* data, int64_t n, KeyFn key_of) {
     return 0;
   }
 
-  const int parts = n <= kRadixSeqCutoff ? 1 : std::max(1, NumThreads());
+  const int parts = scratch != nullptr || n <= kRadixSeqCutoff
+                        ? 1
+                        : std::max(1, NumThreads());
   const std::vector<int64_t> bounds = PartitionRange(n, parts);
 
   // OR/AND reduction over all key words: byte positions where every key
@@ -162,9 +169,13 @@ int LsdRadixSort(R* data, int64_t n, KeyFn key_of) {
 
   // Scratch is written in full before it is read; default-init keeps
   // trivial record types uninitialized.
-  std::unique_ptr<R[]> scratch(new R[n]);
+  std::unique_ptr<R[]> owned;
+  if (scratch == nullptr) {
+    owned.reset(new R[n]);
+    scratch = owned.get();
+  }
   R* src = data;
-  R* dst = scratch.get();
+  R* dst = scratch;
   std::vector<int64_t> hist(static_cast<size_t>(parts) * 256);
   int passes_run = 0;
 

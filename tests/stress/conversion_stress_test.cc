@@ -5,19 +5,28 @@
 // must be identical to the sequential naive builder at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/conversion.h"
 #include "stress/stress_support.h"
 #include "test_support.h"
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 #include "util/rng.h"
 
 namespace ringo {
 namespace {
 
 using testing::ScopedNumThreads;
+using testing::ScopedRadix;
 using testing::StressThreadCounts;
 
 // Random edge table with duplicate rows and self-loops (the conversion
@@ -137,6 +146,284 @@ TEST(ConversionStress, RepeatedConversionsAreStable) {
     const DirectedGraph g =
         TableToGraph(*t, "SrcId", "DstId").ValueOrDie();
     ASSERT_TRUE(g.SameStructure(first)) << "rep=" << rep;
+  }
+}
+
+// ---- Partition-first builds at their edges ----
+//
+// The builds scatter every arc into a partition chosen by the top bits of
+// its head's offset from the smallest id, sort and dedup each partition on
+// one worker, sort a partition holding more than arcs / threads on every
+// core, and place the partitions' distinct arcs back to back. Each input
+// below aims at one edge of that pipeline. Every build must lay its graph
+// out exactly as a bulk build from std::set models does (same node order,
+// runs, NumEdges and arena stats) and equal the edge-by-edge builds, at
+// 1-4 threads with the radix kernel on and off.
+
+using Rows = std::vector<Edge>;
+
+TablePtr IntTable(const Rows& rows) {
+  TablePtr t = Table::Create(
+      Schema{{"s", ColumnType::kInt}, {"d", ColumnType::kInt}});
+  Column& s = t->mutable_column(0);
+  Column& d = t->mutable_column(1);
+  const int64_t n = static_cast<int64_t>(rows.size());
+  s.ResizeForOverwrite(n);
+  d.ResizeForOverwrite(n);
+  for (int64_t i = 0; i < n; ++i) {
+    s.SetInt(i, rows[i].first);
+    d.SetInt(i, rows[i].second);
+  }
+  t->SealAppendedRows(n).Abort("IntTable");
+  return t;
+}
+
+// The bulk layout of `rows`: ascending nodes, and every node's ascending
+// run at exact capacity, back to back, from std::set models of the arcs.
+template <typename Graph>
+Graph BulkLayout(const Rows& rows) {
+  constexpr int kDirs = Graph::kDirs;
+  std::set<NodeId> nodes;
+  std::array<std::set<Edge>, kDirs> arcs;
+  for (const auto& [u, v] : rows) {
+    nodes.insert(u);
+    nodes.insert(v);
+    arcs[0].insert({u, v});
+    arcs[kDirs - 1].insert({v, u});
+  }
+  SortedRuns<kDirs> runs;
+  runs.nodes.assign(nodes.begin(), nodes.end());
+  for (int d = 0; d < kDirs; ++d) {
+    auto it = arcs[d].begin();
+    for (const NodeId u : runs.nodes) {
+      runs.begin[d].push_back(static_cast<int64_t>(runs.arcs[d].size()));
+      for (; it != arcs[d].end() && it->first == u; ++it) {
+        runs.arcs[d].push_back(it->second);
+      }
+    }
+    runs.begin[d].push_back(static_cast<int64_t>(runs.arcs[d].size()));
+  }
+  return Graph(std::move(runs));
+}
+
+template <typename Graph>
+void ExpectBulkLayout(const Graph& g, const Graph& want,
+                      const std::string& where) {
+  // The node table's iteration order is its slot layout.
+  EXPECT_EQ(g.NodeIds(), want.NodeIds()) << where;
+  EXPECT_TRUE(g.SameStructure(want)) << where;
+  EXPECT_EQ(g.NumEdges(), want.NumEdges()) << where;
+  const ArenaStats got = g.arena_stats(), exp = want.arena_stats();
+  EXPECT_EQ(got.words, exp.words) << where;
+  EXPECT_EQ(got.dead_words, 0) << where;
+  EXPECT_EQ(got.relocations, 0) << where;
+  EXPECT_EQ(got.compactions, 0) << where;
+  bool ascending = true;
+  g.ForEachNode([&](NodeId, const auto& nd) {
+    const auto strictly = [](std::span<const NodeId> run) {
+      return std::adjacent_find(run.begin(), run.end(),
+                                std::greater_equal<>()) == run.end();
+    };
+    if constexpr (requires { nd.out; }) {
+      ascending = ascending && strictly(nd.out) && strictly(nd.in);
+    } else {
+      ascending = ascending && strictly(nd.nbrs);
+    }
+  });
+  EXPECT_TRUE(ascending) << where;
+}
+
+// Builds both graphs from t's columns "s" and "d" (whose ids, as the
+// builds read them, are `rows`) at 1-4 threads, radix on and off, and
+// checks them against the bulk layout and the edge-by-edge builds. With
+// `keep`, the directed build is TableToGraphFiltered over those rows.
+void ExpectBuildsMatch(const TablePtr& t, const Rows& rows,
+                       const std::string& name,
+                       const std::vector<int64_t>* keep = nullptr) {
+  Rows kept = rows;
+  if (keep != nullptr) {
+    kept.clear();
+    for (const int64_t r : *keep) kept.push_back(rows[r]);
+  }
+  const DirectedGraph want = BulkLayout<DirectedGraph>(kept);
+  const UndirectedGraph uwant = BulkLayout<UndirectedGraph>(rows);
+  DirectedGraph naive;
+  for (const auto& [u, v] : kept) naive.AddEdge(u, v);
+  if (keep == nullptr) {
+    const DirectedGraph table_naive =
+        TableToGraphNaive(*t, "s", "d").ValueOrDie();
+    ASSERT_TRUE(table_naive.SameStructure(naive)) << name;
+  }
+  UndirectedGraph edge_by_edge;
+  for (const auto& [u, v] : rows) edge_by_edge.AddEdge(u, v);
+  for (const int tc : {1, 2, 3, 4}) {
+    for (const bool radix_on : {true, false}) {
+      ScopedNumThreads threads(tc);
+      ScopedRadix radix(radix_on);
+      const std::string where = name + ", " + std::to_string(tc) +
+                                " threads, radix " + (radix_on ? "on" : "off");
+      const DirectedGraph g =
+          keep != nullptr
+              ? TableToGraphFiltered(*t, "s", "d", *keep).ValueOrDie()
+              : TableToGraph(*t, "s", "d").ValueOrDie();
+      ExpectBulkLayout(g, want, where);
+      EXPECT_TRUE(g.SameStructure(naive)) << where;
+      const UndirectedGraph ug =
+          TableToUndirectedGraph(*t, "s", "d").ValueOrDie();
+      ExpectBulkLayout(ug, uwant, where);
+      EXPECT_TRUE(ug.SameStructure(edge_by_edge)) << where;
+    }
+  }
+}
+
+// Ids 0 and 2^16 - 1 fix a 16-bit span, so every partition boundary is a
+// multiple of 2^(16 - digits) with at most 8 digits at these sizes; every
+// head sits on a multiple of 256 or one away from it.
+TEST(ConversionStress, HeadsAtPartitionBoundaries) {
+  std::vector<NodeId> ids = {0, (1 << 16) - 1};
+  for (NodeId x = 256; x < (1 << 16); x += 256) {
+    ids.insert(ids.end(), {x - 1, x, x + 1});
+  }
+  for (const int64_t n : {int64_t{3000}, int64_t{50000}}) {
+    Rng rng(0xB0DE + n);
+    Rows rows = {{0, (1 << 16) - 1}};
+    const int64_t k = static_cast<int64_t>(ids.size());
+    while (static_cast<int64_t>(rows.size()) < n) {
+      rows.push_back({ids[rng.UniformInt(0, k - 1)],
+                      ids[rng.UniformInt(0, k - 1)]});
+    }
+    ExpectBuildsMatch(IntTable(rows), rows,
+                      "boundaries n=" + std::to_string(n));
+  }
+}
+
+// A star plus noise: node 7 owns over 90% of the arcs (some repeated), so
+// its partition exceeds arcs / threads and takes the every-core sort.
+TEST(ConversionStress, HubOwningNearlyAllArcs) {
+  Rng rng(0x5A2);
+  Rows rows;
+  for (int64_t i = 0; i < 46000; ++i) {
+    rows.push_back({7, rng.UniformInt(0, 30000)});
+  }
+  for (int64_t i = 0; i < 4000; ++i) {
+    rows.push_back({rng.UniformInt(0, 30000), rng.UniformInt(0, 30000)});
+  }
+  ExpectBuildsMatch(IntTable(rows), rows, "hub");
+}
+
+// Nearly every row repeats one of five arcs (two of them self-loops).
+TEST(ConversionStress, RowsRepeatingAFewArcs) {
+  const Rows few = {{3, 9}, {9, 3}, {3, 3}, {100000, 5}, {5, 5}};
+  Rng rng(0xD0B);
+  Rows rows;
+  for (int64_t i = 0; i < 40000; ++i) {
+    rows.push_back(few[rng.UniformInt(0, 4)]);
+  }
+  rows.push_back({77, 78});
+  ExpectBuildsMatch(IntTable(rows), rows, "repeats");
+}
+
+TEST(ConversionStress, SelfLoopsOnlyAndOneRow) {
+  Rng rng(0x5E1F);
+  Rows loops;
+  for (int64_t i = 0; i < 30000; ++i) {
+    const NodeId u = rng.UniformInt(-500, 500);
+    loops.push_back({u, u});
+  }
+  ExpectBuildsMatch(IntTable(loops), loops, "self-loops");
+  for (const Rows& one : {Rows{{5, 9}}, Rows{{-3, -3}}}) {
+    ExpectBuildsMatch(IntTable(one), one, "one row");
+  }
+}
+
+// Id spans of 2^32 - 1 (the widest packed arc) and 2^32 (wide records).
+TEST(ConversionStress, SpansAroundThePackedLimit) {
+  for (const int64_t width : {(int64_t{1} << 32) - 1, int64_t{1} << 32}) {
+    const NodeId lo = -7;
+    Rng rng(static_cast<uint64_t>(width));
+    Rows rows = {{lo, lo + width}, {lo + width, lo}};
+    while (rows.size() < 40000) {
+      // Half the ids near either end, so both partitions at the ends fill.
+      const auto id = [&] {
+        const int64_t off = rng.UniformInt(0, 2000);
+        return rng.UniformInt(0, 1) == 0 ? lo + off : lo + width - off;
+      };
+      rows.push_back({id(), id()});
+    }
+    ExpectBuildsMatch(IntTable(rows), rows,
+                      "span " + std::to_string(width));
+  }
+}
+
+// String id columns read pool ids in place; an encoded column (and a
+// string column with its own dictionary) goes through the element
+// accessor.
+TEST(ConversionStress, StringAndEncodedIdColumns) {
+  Rng rng(0x57A);
+  Rows pairs;
+  for (int64_t i = 0; i < 30000; ++i) {
+    pairs.push_back({rng.UniformInt(0, 3000), rng.UniformInt(0, 3000)});
+  }
+  // Plain int columns, then both encoded.
+  TablePtr ints = IntTable(pairs);
+  ExpectBuildsMatch(ints, pairs, "plain ints");
+  ASSERT_TRUE(ints->mutable_column(0).Encode());
+  ASSERT_TRUE(ints->mutable_column(1).Encode());
+  ExpectBuildsMatch(ints, pairs, "encoded ints");
+
+  TablePtr strs = Table::Create(
+      Schema{{"s", ColumnType::kString}, {"d", ColumnType::kString}});
+  Column& s = strs->mutable_column(0);
+  Column& d = strs->mutable_column(1);
+  const int64_t n = static_cast<int64_t>(pairs.size());
+  s.ResizeForOverwrite(n);
+  d.ResizeForOverwrite(n);
+  Rows pool_ids;
+  for (int64_t i = 0; i < n; ++i) {
+    const StringPool::Id a =
+        strs->pool()->GetOrAdd("n" + std::to_string(pairs[i].first));
+    const StringPool::Id b =
+        strs->pool()->GetOrAdd("n" + std::to_string(pairs[i].second));
+    s.SetStr(i, a);
+    d.SetStr(i, b);
+    pool_ids.push_back({a, b});
+  }
+  strs->SealAppendedRows(n).Abort("strings");
+  ExpectBuildsMatch(strs, pool_ids, "strings");
+  ASSERT_TRUE(strs->mutable_column(1).Encode());
+  ExpectBuildsMatch(strs, pool_ids, "strings, dst encoded");
+}
+
+// Filtered builds read only the kept rows: sparse (below the one-part
+// cutoff) and dense keep lists over one table.
+TEST(ConversionStress, FilteredOverSparseKeepLists) {
+  Rng rng(0xF17);
+  Rows rows;
+  for (int64_t i = 0; i < 60000; ++i) {
+    rows.push_back({rng.UniformInt(0, 20000), rng.UniformInt(0, 20000)});
+  }
+  const TablePtr t = IntTable(rows);
+  for (const int64_t step : {int64_t{37}, int64_t{3}}) {
+    std::vector<int64_t> keep;
+    for (int64_t r = step / 2; r < static_cast<int64_t>(rows.size());
+         r += step) {
+      keep.push_back(r);
+    }
+    ExpectBuildsMatch(t, rows, "keep every " + std::to_string(step), &keep);
+  }
+}
+
+// Sizes on both sides of the 16K cutoffs: row parts (rows) and sort
+// workers (arcs, twice the rows).
+TEST(ConversionStress, SizesAroundTheOnePartCutoff) {
+  for (const int64_t n : {int64_t{8191}, int64_t{8193}, int64_t{16384},
+                          int64_t{16385}}) {
+    Rng rng(0xC07 + n);
+    Rows rows;
+    for (int64_t i = 0; i < n; ++i) {
+      rows.push_back({rng.UniformInt(0, 4000), rng.UniformInt(0, 4000)});
+    }
+    ExpectBuildsMatch(IntTable(rows), rows, "n=" + std::to_string(n));
   }
 }
 

@@ -21,21 +21,8 @@ namespace ringo {
 namespace {
 
 using testing::ScopedNumThreads;
+using testing::ScopedRadix;
 using testing::StressThreadCounts;
-
-// RAII toggle for the radix kill switch.
-class ScopedRadix {
- public:
-  explicit ScopedRadix(bool on) : prev_(radix::Enabled()) {
-    radix::SetEnabled(on);
-  }
-  ~ScopedRadix() { radix::SetEnabled(prev_); }
-  ScopedRadix(const ScopedRadix&) = delete;
-  ScopedRadix& operator=(const ScopedRadix&) = delete;
-
- private:
-  bool prev_;
-};
 
 // Large enough that the kernel takes its multi-part path (> 1 << 14).
 constexpr int64_t kRows = 40000;

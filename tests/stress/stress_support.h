@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 
 namespace ringo {
 namespace testing {
@@ -40,6 +41,20 @@ class ScopedNumThreads {
 
  private:
   int prev_;
+};
+
+// RAII toggle for the radix kill switch.
+class ScopedRadix {
+ public:
+  explicit ScopedRadix(bool on) : prev_(radix::Enabled()) {
+    radix::SetEnabled(on);
+  }
+  ~ScopedRadix() { radix::SetEnabled(prev_); }
+  ScopedRadix(const ScopedRadix&) = delete;
+  ScopedRadix& operator=(const ScopedRadix&) = delete;
+
+ private:
+  bool prev_;
 };
 
 }  // namespace testing

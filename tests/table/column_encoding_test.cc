@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "table/column.h"
@@ -35,6 +36,34 @@ TEST(BitPackTest, RoundTripAllWidths) {
           << "width " << bits << " index " << i;
     }
   }
+}
+
+// The word-at-a-time walk yields exactly UnpackBits' codes over every
+// range, at every width: ranges that start and end mid-word, on word
+// boundaries and at the stream's last code (which must not read past the
+// last word).
+TEST(BitPackTest, ForEachCodeMatchesUnpackBits) {
+  Rng rng(0xF0EC);
+  for (int bits = 1; bits <= 63; ++bits) {
+    const uint64_t mask = (uint64_t{1} << bits) - 1;
+    std::vector<uint64_t> codes(193);
+    for (uint64_t& c : codes) c = rng.Next() & mask;
+    const std::vector<uint64_t> words = PackCodes(codes, bits);
+    const int64_t n = static_cast<int64_t>(codes.size());
+    for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+             {0, n}, {1, n}, {n - 1, n}, {0, 1}, {5, 70}, {64, 128},
+             {63, 65}, {7, 7}}) {
+      int64_t next = lo;
+      ForEachCode(words.data(), bits, lo, hi, [&](int64_t i, uint64_t c) {
+        EXPECT_EQ(i, next++) << "width " << bits;
+        EXPECT_EQ(c, codes[i]) << "width " << bits << " index " << i;
+      });
+      EXPECT_EQ(next, hi) << "width " << bits << " range " << lo;
+    }
+  }
+  int64_t zeros = 0;
+  ForEachCode(nullptr, 0, 3, 9, [&](int64_t, uint64_t c) { zeros += c == 0; });
+  EXPECT_EQ(zeros, 6);
 }
 
 TEST(EncodeIntTest, FrameOfReferenceSmallRange) {
