@@ -6,9 +6,9 @@ Usage: scripts/check_trace.py BENCH_conversions_trace.json
 Structural gate for the observability layer, run by run_bench.sh and the
 CI bench-smoke job: asserts the export is well-formed trace_event JSON and
 that the TableToGraph and TableToUndirectedGraph conversions recorded their
-root spans (with rows / nodes / edges) plus the extract / sort / count /
-fill phase children. Timings are deliberately NOT checked — this must stay
-green on slow CI machines.
+root spans (with rows / nodes / edges and the rss_delta_kb / minflt memory
+attributes) plus the extract / sort / count / fill phase children. Timings
+are deliberately NOT checked — this must stay green on slow CI machines.
 """
 import json
 import sys
@@ -58,11 +58,12 @@ def main():
     if missing:
         fail(f"missing spans {missing}; recorded names: {sorted(names)}")
 
-    # Each conversion root span must carry its size attributes.
+    # Each conversion root span must carry its size attributes, its
+    # resident-memory change and its minor page faults.
     for name in roots:
         root = next(ev for ev in events if ev["name"] == name)
         args = root.get("args", {})
-        for key in ("rows", "nodes", "edges"):
+        for key in ("rows", "nodes", "edges", "rss_delta_kb", "minflt"):
             if key not in args:
                 fail(f"{name} span lacks args['{key}']: {args}")
 

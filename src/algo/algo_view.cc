@@ -36,9 +36,9 @@ namespace {
 // Every node's runs in dense-index order: one node-table lookup per node
 // for all directions.
 template <typename Graph>
-DefaultInitVector<typename Graph::NodeView> NodeViews(const Graph& g,
-                                                      const NodeIndex& ni) {
-  DefaultInitVector<typename Graph::NodeView> views(ni.size());
+PooledVector<typename Graph::NodeView> NodeViews(const Graph& g,
+                                                 const NodeIndex& ni) {
+  PooledVector<typename Graph::NodeView> views(ni.size());
   ParallelFor(0, ni.size(),
               [&](int64_t i) { views[i] = *g.GetNode(ni.IdOf(i)); });
   return views;
@@ -52,8 +52,7 @@ DefaultInitVector<typename Graph::NodeView> NodeViews(const Graph& g,
 // front to back.
 template <typename Views, typename RunFn>
 void FillCsr(const Views& views, const NodeIndex& ni, const RunFn& run,
-             DefaultInitVector<int64_t>* offsets,
-             DefaultInitVector<int64_t>* nbrs) {
+             PooledVector<int64_t>* offsets, PooledVector<int64_t>* nbrs) {
   const int64_t n = ni.size();
   offsets->resize(n + 1);
   ParallelFor(0, n, [&](int64_t i) {
@@ -125,7 +124,7 @@ int64_t AlgoView::MemoryUsageBytes() const {
 }
 
 NbrSpan AlgoView::DecodeBase(const compactcsr::CompressedDir& d,
-                             const DefaultInitVector<int64_t>& offsets,
+                             const PooledVector<int64_t>& offsets,
                              int64_t i) {
   const int64_t deg = offsets[i + 1] - offsets[i];
   if (deg == 0) return {};
@@ -161,10 +160,10 @@ std::shared_ptr<AlgoView> AlgoView::BuildFull(const Graph& g) {
     // Freeze the compact layout into this base: varint delta streams
     // replace the flat payloads, element offsets stay for O(1) degrees.
     base->out_c = compactcsr::Compress(base->out_offsets, base->out_nbrs);
-    DefaultInitVector<int64_t>().swap(base->out_nbrs);
+    PooledVector<int64_t>().swap(base->out_nbrs);
     if (kDirected) {
       base->in_c = compactcsr::Compress(base->in_offsets, base->in_nbrs);
-      DefaultInitVector<int64_t>().swap(base->in_nbrs);
+      PooledVector<int64_t>().swap(base->in_nbrs);
     }
     RINGO_COUNTER_ADD("algo_view/compress", 1);
   }

@@ -348,11 +348,13 @@ class AlgoView {
   // streams in *_c (the vectors are left empty).
   struct BaseCsr {
     NodeIndex ni;
-    // Sized for overwrite: the build writes every cell in parallel.
-    DefaultInitVector<int64_t> out_offsets;  // n+1 entries.
-    DefaultInitVector<int64_t> out_nbrs;
-    DefaultInitVector<int64_t> in_offsets;   // Empty for undirected views.
-    DefaultInitVector<int64_t> in_nbrs;
+    // Sized for overwrite: the build writes every cell in parallel. From
+    // the block pool (DESIGN.md §20), so a rebuild reuses a released
+    // snapshot's pages.
+    PooledVector<int64_t> out_offsets;  // n+1 entries.
+    PooledVector<int64_t> out_nbrs;
+    PooledVector<int64_t> in_offsets;   // Empty for undirected views.
+    PooledVector<int64_t> in_nbrs;
     compactcsr::CompressedDir out_c;
     compactcsr::CompressedDir in_c;
 
@@ -387,7 +389,7 @@ class AlgoView {
 
   // Decodes base run i of a compressed direction into pooled scratch.
   static NbrSpan DecodeBase(const compactcsr::CompressedDir& d,
-                            const DefaultInitVector<int64_t>& offsets,
+                            const PooledVector<int64_t>& offsets,
                             int64_t i);
 
   // Full CSR materialization without counters (Build and the compaction

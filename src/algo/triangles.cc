@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "algo/algo_view.h"
+#include "util/default_init.h"
 #include "util/parallel.h"
 #include "util/trace.h"
 
@@ -22,8 +23,8 @@ namespace {
 // the degrees it orders by count self-loops, which only affects which
 // vertex owns a triangle, never the count.
 struct ForwardAdjacency {
-  std::vector<int64_t> offsets;  // n + 1 entries.
-  std::vector<int64_t> nbrs;
+  PooledVector<int64_t> offsets;  // n + 1 entries.
+  PooledVector<int64_t> nbrs;
 
   // Count → ExclusivePrefixSum → fill. Neighbor runs are already
   // ascending dense indices, so the filtered copy needs no translation.
@@ -40,7 +41,8 @@ struct ForwardAdjacency {
       view.ForEachOut(i, [&](int64_t j) { c += forward(i, j) ? 1 : 0; });
       offsets[i] = c;
     });
-    nbrs.resize(ExclusivePrefixSum(offsets));
+    nbrs.resize(ExclusivePrefixSum(offsets.data(), offsets.data(),
+                                   static_cast<int64_t>(offsets.size())));
     ParallelForDynamic(0, n, [&](int64_t i) {
       int64_t* out = nbrs.data() + offsets[i];
       view.ForEachOut(i, [&](int64_t j) {

@@ -22,7 +22,7 @@ namespace ringo {
 namespace {
 
 // Endpoint ids, one per row: the weighted and naive builds' extraction.
-using Ids = DefaultInitVector<NodeId>;
+using Ids = PooledVector<NodeId>;
 
 // The node-id column `name`: int, or string (its pool ids are the node
 // ids). Float columns are rejected.
@@ -230,7 +230,7 @@ struct Layout<UndirectedGraph> {
 // arcs[start[j], start[j + 1]).
 template <typename Record>
 struct Partitioned {
-  DefaultInitVector<Record> arcs;
+  PooledVector<Record> arcs;  // Becomes an arena (ArenaOf).
   std::vector<int64_t> start;
 };
 
@@ -418,7 +418,7 @@ class InOrderPlacer {
 // in a buffer per thread and record type that outlives the call, so the
 // next build finds it already faulted in; that buffer only grows, to at
 // most the bound, and is freed with its thread. A larger scratch is the
-// call's own.
+// call's own, from the block pool.
 constexpr int64_t kKeptScratchBytes = int64_t{1} << 20;
 
 template <typename R>
@@ -437,7 +437,7 @@ class SortScratch {
   R* data() const { return data_; }
 
  private:
-  DefaultInitVector<R> own_;
+  PooledVector<R> own_;
   R* data_ = nullptr;
 };
 
@@ -547,14 +547,14 @@ void CollectRuns(const std::vector<PartRuns<K>>& found,
 // direction. Packed, they are already its tails, so the arc array becomes
 // the arena; wide, the tails are copied out of the records.
 template <typename Arcs>
-DefaultInitVector<NodeId> ArenaOf(const Arcs& arcs,
-                                  DefaultInitVector<typename Arcs::Record> a,
-                                  int64_t distinct) {
+PooledVector<NodeId> ArenaOf(const Arcs& arcs,
+                             PooledVector<typename Arcs::Record> a,
+                             int64_t distinct) {
   a.resize(distinct);
   if constexpr (std::is_same_v<typename Arcs::Record, NodeId>) {
     return a;
   } else {
-    DefaultInitVector<NodeId> out(distinct);
+    PooledVector<NodeId> out(distinct);
     ParallelForRange(0, distinct, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) out[i] = arcs.Tail(a[i]);
     });

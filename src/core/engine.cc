@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "algo/pagerank.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
 
@@ -298,12 +299,24 @@ TablePtr Ringo::StatsTable() const {
   Schema schema{{"Span", ColumnType::kString},
                 {"Count", ColumnType::kInt},
                 {"TotalMs", ColumnType::kFloat},
-                {"MaxMs", ColumnType::kFloat}};
+                {"MaxMs", ColumnType::kFloat},
+                {"MinFlt", ColumnType::kInt}};
   TablePtr out = Table::Create(std::move(schema), pool_);
   for (const trace::FlatStat& s : trace::FlatStats()) {
     RINGO_CHECK_OK(out->AppendRow(
         {s.name, s.count, static_cast<double>(s.total_ns) / 1e6,
-         static_cast<double>(s.max_ns) / 1e6}));
+         static_cast<double>(s.max_ns) / 1e6, s.minflt}));
+  }
+  // The block pool's counters and gauges (DESIGN.md §20), value in Count.
+  for (const char* name : {"mem/pool_hit", "mem/pool_map", "mem/pool_unmap"}) {
+    RINGO_CHECK_OK(out->AppendRow(
+        {std::string(name), metrics::CounterValue(name), 0.0, 0.0,
+         int64_t{0}}));
+  }
+  for (const char* name : {"mem/pool_live_bytes", "mem/pool_idle_bytes"}) {
+    RINGO_CHECK_OK(out->AppendRow(
+        {std::string(name), static_cast<int64_t>(metrics::GaugeValue(name)),
+         0.0, 0.0, int64_t{0}}));
   }
   return out;
 }

@@ -104,14 +104,19 @@ class Ringo {
                         const std::string& value_name) const;
 
   // ------------------------------------------------------ observability
-  // Wall time, resident-memory delta, and the recorded attributes (rows,
-  // edges, radix passes, ...) of the most recent engine entry point, from
-  // the trace layer's last completed root span. `valid` is false when tracing
-  // is disabled (RINGO_METRICS=off) or nothing ran yet.
+  // Wall time, resident-memory delta, minor page faults, and the recorded
+  // attributes (rows, edges, radix passes, ...) of the most recent engine
+  // entry point, from the trace layer's last completed root span. `valid`
+  // is false when tracing is disabled (RINGO_METRICS=off) or nothing ran
+  // yet.
   trace::QueryStats LastQueryStats() const;
 
-  // Flat per-span aggregate (Span, Count, TotalMs, MaxMs) of everything
-  // traced so far in this process, as a table for the interactive loop.
+  // Flat per-span aggregate (Span, Count, TotalMs, MaxMs, MinFlt: minor
+  // page faults summed over the spans) of everything traced so far in this
+  // process, as a table for the interactive loop. Rows for the block
+  // pool's counters and gauges (mem/pool_hit, mem/pool_map,
+  // mem/pool_unmap, mem/pool_live_bytes, mem/pool_idle_bytes) follow, each
+  // value in Count.
   TablePtr StatsTable() const;
 
  private:

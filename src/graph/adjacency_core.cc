@@ -167,7 +167,7 @@ NodeId AdjacencyCore<P>::AddNode() {
 
 template <typename P>
 void AdjacencyCore<P>::GrowRun(int d, AdjRun& r, int64_t need) {
-  DefaultInitVector<NodeId>& a = arena_[d];
+  PooledVector<NodeId>& a = arena_[d];
   const int64_t cap = GrownCapacity(r.cap, need);
   const int64_t tail = static_cast<int64_t>(a.size());
   if (r.off + r.cap == tail) {
@@ -206,7 +206,7 @@ bool AdjacencyCore<P>::RunErase(int d, AdjRun& r, NodeId v) {
 }
 
 template <typename P>
-void AdjacencyCore<P>::Repack(int d, const DefaultInitVector<NodeId>& from) {
+void AdjacencyCore<P>::Repack(int d, const PooledVector<NodeId>& from) {
   // Two passes over contiguous slot ranges: each part's words, then each
   // part copies its runs to its prefix-summed place.
   const int64_t slots = nodes_.capacity();
@@ -222,7 +222,7 @@ void AdjacencyCore<P>::Repack(int d, const DefaultInitVector<NodeId>& from) {
   });
   const int64_t total = ExclusivePrefixSum(start.data(), start.data(),
                                            parts + 1);
-  DefaultInitVector<NodeId> to(total);
+  PooledVector<NodeId> to(total);
   ParallelFor(0, parts, [&](int64_t p) {
     int64_t pos = start[p];
     for (int64_t i = bounds[p]; i < bounds[p + 1]; ++i) {
@@ -250,7 +250,7 @@ void AdjacencyCore<P>::MaybeCompact() {
     }
     trace::Span span("Graph/compact_arena");
     span.AddAttr("dead_words", dead_[d]);
-    DefaultInitVector<NodeId> old = std::move(arena_[d]);
+    PooledVector<NodeId> old = std::move(arena_[d]);
     Repack(d, old);
     ++compactions_;
     RINGO_COUNTER_ADD("graph/arena_compactions", 1);

@@ -85,8 +85,8 @@ struct AdjRun {
 template <int kDirs>
 struct SortedRuns {
   std::vector<NodeId> nodes;
-  std::array<DefaultInitVector<NodeId>, kDirs> arcs;
-  std::array<DefaultInitVector<int64_t>, kDirs> begin;
+  std::array<PooledVector<NodeId>, kDirs> arcs;
+  std::array<PooledVector<int64_t>, kDirs> begin;
 };
 
 // Directed: arena 0 holds out-runs, arena 1 in-runs.
@@ -302,7 +302,7 @@ class AdjacencyCore {
   void MaybeCompact();
   // Lays the runs of arena d out back to back, reading them from `from`
   // (the slots' offsets point into it) and keeping every capacity.
-  void Repack(int d, const DefaultInitVector<NodeId>& from);
+  void Repack(int d, const PooledVector<NodeId>& from);
 
   // Every non-batch structural mutation goes through here (exclusive lock
   // held): one stamp bump and a journal invalidation (the mutation is not
@@ -316,8 +316,9 @@ class AdjacencyCore {
   void CopyFrom(const AdjacencyCore& other);
   void MoveFrom(AdjacencyCore& other);
 
-  FlatHashMap<NodeId, Slot> nodes_;
-  std::array<DefaultInitVector<NodeId>, kDirs> arena_;
+  // The node table and the arenas live in the block pool (DESIGN.md §20).
+  FlatHashMap<NodeId, Slot, std::hash<NodeId>, PoolAllocator<Slot>> nodes_;
+  std::array<PooledVector<NodeId>, kDirs> arena_;
   std::array<int64_t, kDirs> dead_{};
   int64_t relocations_ = 0;
   int64_t compactions_ = 0;

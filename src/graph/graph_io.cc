@@ -164,8 +164,8 @@ Result<DirectedGraph> LoadGraphBinary(const std::string& path) {
 
   SortedRuns<2> runs;
   std::vector<NodeId>& ids = runs.nodes;
-  DefaultInitVector<NodeId>& out_arcs = runs.arcs[0];
-  DefaultInitVector<int64_t>& out_begin = runs.begin[0];
+  PooledVector<NodeId>& out_arcs = runs.arcs[0];
+  PooledVector<int64_t>& out_begin = runs.begin[0];
   ids.resize(num_nodes);
   out_arcs.resize(num_edges);
   out_begin.resize(num_nodes + 1);
@@ -204,7 +204,7 @@ Result<DirectedGraph> LoadGraphBinary(const std::string& path) {
 
   // In-runs: a counting transpose by target. Sources are visited in
   // ascending order, so every in-run comes out ascending.
-  DefaultInitVector<int64_t> target(num_edges);
+  PooledVector<int64_t> target(num_edges);
   ParallelFor(0, num_edges, [&](int64_t j) {
     const auto it = std::lower_bound(ids.begin(), ids.end(), out_arcs[j]);
     target[j] = it != ids.end() && *it == out_arcs[j] ? it - ids.begin() : -1;

@@ -9,7 +9,12 @@
 //     short under churn (important for dynamic graphs, §2.2);
 //   * slot-indexed access (SlotOccupied / SlotKey / SlotValue) so OpenMP
 //     loops can partition the raw slot array across threads without
-//     iterator synchronization.
+//     iterator synchronization;
+//   * an allocator parameter for the slot arrays, std::allocator by
+//     default. Only the graphs' node tables pass PoolAllocator
+//     (util/default_init.h), so a released graph's slot array comes back
+//     to the next build with its pages faulted in; table-side maps keep
+//     the heap (DESIGN.md §20).
 //
 // Not thread-safe; see storage/concurrent_map.h for the concurrent variant.
 #ifndef RINGO_STORAGE_FLAT_HASH_MAP_H_
@@ -18,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,7 +44,8 @@ inline uint64_t MixHash(uint64_t h) {
 
 }  // namespace internal
 
-template <typename K, typename V, typename Hash = std::hash<K>>
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename Alloc = std::allocator<std::pair<const K, V>>>
 class FlatHashMap {
  public:
   using key_type = K;
@@ -228,6 +235,9 @@ class FlatHashMap {
     K key{};
     V value{};
   };
+  template <typename T>
+  using Vec = std::vector<
+      T, typename std::allocator_traits<Alloc>::template rebind_alloc<T>>;
 
   // Maximum load factor 7/10; linear probing degrades quickly past ~0.75.
   static constexpr int64_t kMaxLoadNum = 7;
@@ -275,8 +285,8 @@ class FlatHashMap {
   }
 
   void Rehash(int64_t new_cap) {
-    std::vector<Slot> old_slots = std::move(slots_);
-    std::vector<uint8_t> old_full = std::move(full_);
+    Vec<Slot> old_slots = std::move(slots_);
+    Vec<uint8_t> old_full = std::move(full_);
     slots_.assign(new_cap, Slot{});
     full_.assign(new_cap, 0);
     const int64_t mask = new_cap - 1;
@@ -291,8 +301,8 @@ class FlatHashMap {
     }
   }
 
-  std::vector<Slot> slots_;
-  std::vector<uint8_t> full_;
+  Vec<Slot> slots_;
+  Vec<uint8_t> full_;
   int64_t size_ = 0;
   ProbeStats stats_;
 };

@@ -13,17 +13,28 @@
 // cell with a fixed non-zero byte pattern (kDefaultInitFill), so a read
 // of a cell that nobody wrote shows up in tests as a wrong value rather
 // than as a silent zero. A compile-time test aid, not a mode.
+//
+// PoolAllocator: std::allocator for requests below kPoolBlockBytes (2 MiB),
+// the process-wide BlockPool (util/block_pool.h) for larger ones, so a
+// large array released by one build comes back to the next with its pages
+// already faulted in. PooledVector combines it with DefaultInitAllocator;
+// the graph layer's large arrays (arenas, node tables, bulk-build arc
+// buffers, AlgoView CSR arrays) use it, table storage does not
+// (DESIGN.md §20).
 #ifndef RINGO_UTIL_DEFAULT_INIT_H_
 #define RINGO_UTIL_DEFAULT_INIT_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/block_pool.h"
 
 namespace ringo {
 
@@ -60,6 +71,43 @@ class DefaultInitAllocator : public A {
 
 template <typename T>
 using DefaultInitVector = std::vector<T, DefaultInitAllocator<T>>;
+
+// Stateless and always equal, so moving a vector between owners stays a
+// pointer swap.
+template <typename T>
+class PoolAllocator {
+ public:
+  using value_type = T;
+  using is_always_equal = std::true_type;
+  using propagate_on_container_move_assignment = std::true_type;
+
+  PoolAllocator() noexcept = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    if (n > SIZE_MAX / sizeof(T)) throw std::bad_array_new_length();
+    const size_t bytes = n * sizeof(T);
+    if (bytes < kPoolBlockBytes) return std::allocator<T>().allocate(n);
+    return static_cast<T*>(BlockPool::Global().Take(bytes));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    const size_t bytes = n * sizeof(T);
+    if (bytes < kPoolBlockBytes) {
+      std::allocator<T>().deallocate(p, n);
+    } else {
+      BlockPool::Global().Release(p, bytes);
+    }
+  }
+
+  template <typename U>
+  bool operator==(const PoolAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <typename T>
+using PooledVector = std::vector<T, DefaultInitAllocator<T, PoolAllocator<T>>>;
 
 // Appends src's cells to dst with std::copy, a memmove for trivially
 // copyable T. For any allocator but std::allocator, libstdc++'s vector

@@ -1,6 +1,7 @@
 #include "util/trace.h"
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -60,6 +61,13 @@ int64_t CurrentRssKb() {
   int64_t pages = 0;
   for (++p; *p >= '0' && *p <= '9'; ++p) pages = pages * 10 + (*p - '0');
   return pages * page_kb;
+}
+
+// Minor page faults of the whole process so far.
+int64_t ProcessMinorFaults() {
+  struct rusage ru;
+  if (::getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<int64_t>(ru.ru_minflt);
 }
 
 // Completed spans of one thread. `mu` is uncontended except during an
@@ -128,10 +136,12 @@ Span::Span(const char* name)
       name_(name),
       start_ns_(0),
       start_rss_kb_(0),
+      start_minflt_(0),
       depth_(0) {
   if (!active_) return;
   start_ns_ = NowNanos();
   start_rss_kb_ = CurrentRssKb();
+  start_minflt_ = ProcessMinorFaults();
   depth_ = tls_depth++;
 }
 
@@ -145,6 +155,7 @@ Span::~Span() {
   ev.start_ns = start_ns_;
   ev.dur_ns = end_ns - start_ns_;
   ev.rss_delta_kb = CurrentRssKb() - start_rss_kb_;
+  ev.minflt = ProcessMinorFaults() - start_minflt_;
   ev.depth = depth_;
   ev.int_attrs = std::move(int_attrs_);
   ev.float_attrs = std::move(float_attrs_);
@@ -156,6 +167,7 @@ Span::~Span() {
     qs.name = ev.name;
     qs.wall_ms = static_cast<double>(ev.dur_ns) / 1e6;
     qs.rss_delta_kb = ev.rss_delta_kb;
+    qs.minflt = ev.minflt;
     qs.attrs = ev.int_attrs;
     std::lock_guard<std::mutex> lock(c.mu);
     c.last_root = std::move(qs);
@@ -200,6 +212,7 @@ std::vector<FlatStat> FlatStats() {
     ++s.count;
     s.total_ns += ev.dur_ns;
     s.max_ns = std::max(s.max_ns, ev.dur_ns);
+    s.minflt += ev.minflt;
   }
   std::vector<FlatStat> out;
   out.reserve(agg.size());
@@ -229,6 +242,8 @@ std::string ChromeTraceJson() {
     out += std::to_string(ev.depth);
     out += ",\"rss_delta_kb\":";
     out += std::to_string(ev.rss_delta_kb);
+    out += ",\"minflt\":";
+    out += std::to_string(ev.minflt);
     for (const auto& [key, value] : ev.int_attrs) {
       out += ",\"";
       AppendJsonEscaped(&out, key);
@@ -263,12 +278,13 @@ std::string RenderFlatStats() {
   std::ostringstream os;
   os << std::left << std::setw(40) << "span" << std::right << std::setw(10)
      << "count" << std::setw(14) << "total_ms" << std::setw(14) << "max_ms"
-     << '\n';
+     << std::setw(12) << "minflt" << '\n';
   for (const FlatStat& s : FlatStats()) {
     os << std::left << std::setw(40) << s.name << std::right << std::setw(10)
        << s.count << std::setw(14) << std::fixed << std::setprecision(3)
        << static_cast<double>(s.total_ns) / 1e6 << std::setw(14)
-       << static_cast<double>(s.max_ns) / 1e6 << '\n';
+       << static_cast<double>(s.max_ns) / 1e6 << std::setw(12) << s.minflt
+       << '\n';
     os.unsetf(std::ios::fixed);
   }
   return os.str();

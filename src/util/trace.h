@@ -1,10 +1,10 @@
 // RAII trace spans (DESIGN.md §8): the structured side of Ringo's
 // observability layer. A span brackets one operator (or one phase of an
-// operator), records wall time, the resident-memory change across its
-// lifetime, and custom numeric attributes (rows, edges, radix passes,
-// rehash counts), and nests: spans opened while another span is live on
-// the same thread become its children (depth-tracked; the Chrome viewer
-// nests by timestamps).
+// operator), records wall time, the resident-memory change and the
+// process's minor page faults across its lifetime, and custom numeric
+// attributes (rows, edges, radix passes, rehash counts), and nests: spans
+// opened while another span is live on the same thread become its
+// children (depth-tracked; the Chrome viewer nests by timestamps).
 //
 //   Result<TablePtr> Table::OrderBy(...) {
 //     RINGO_TRACE_SPAN("Table/OrderBy");
@@ -63,6 +63,7 @@ class Span {
   const char* name_;
   int64_t start_ns_;
   int64_t start_rss_kb_;
+  int64_t start_minflt_;
   int depth_;
   std::vector<std::pair<std::string, int64_t>> int_attrs_;
   std::vector<std::pair<std::string, double>> float_attrs_;
@@ -79,6 +80,9 @@ struct SpanEvent {
   // when the span freed more than it touched. Other threads' allocations
   // in that window count too.
   int64_t rss_delta_kb = 0;
+  // Minor page faults the process took from the span's open to its close
+  // (getrusage): fresh pages touched, by any thread in that window.
+  int64_t minflt = 0;
   int tid = 0;               // Dense per-thread index.
   int depth = 0;             // 0 = root span.
   std::vector<std::pair<std::string, int64_t>> int_attrs;
@@ -91,6 +95,7 @@ struct FlatStat {
   int64_t count = 0;
   int64_t total_ns = 0;
   int64_t max_ns = 0;
+  int64_t minflt = 0;  // Summed over the spans.
 };
 
 // Summary of the most recent completed root (depth-0) span; the engine
@@ -100,6 +105,7 @@ struct QueryStats {
   std::string name;
   double wall_ms = 0.0;
   int64_t rss_delta_kb = 0;
+  int64_t minflt = 0;
   std::vector<std::pair<std::string, int64_t>> attrs;
 };
 

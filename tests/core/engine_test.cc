@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "algo/pagerank.h"
 #include "gen/stackoverflow_gen.h"
 #include "storage/flat_hash_map.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace ringo {
 namespace {
@@ -265,6 +269,42 @@ TEST(EngineTest, UndirectedConversion) {
   auto g = ringo.ToUndirectedGraph(t, "a", "b");
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->NumEdges(), 1);
+}
+
+// StatsTable: the flat span aggregate with each name's summed minor
+// faults, then the block pool's counters and gauges. 300K rows give the
+// directed build arc arrays above the pool's 2 MiB floor.
+TEST(EngineTest, StatsTableListsFaultsAndThePool) {
+  metrics::SetEnabled(true);
+  trace::Clear();
+  Ringo ringo;
+  TablePtr t = ringo.NewTable(
+      Schema{{"a", ColumnType::kInt}, {"b", ColumnType::kInt}});
+  constexpr int64_t kRows = 300000;
+  t->mutable_column(0).ResizeForOverwrite(kRows);
+  t->mutable_column(1).ResizeForOverwrite(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    t->mutable_column(0).SetInt(i, i % 50000);
+    t->mutable_column(1).SetInt(i, (i * 7919) % 50000);
+  }
+  RINGO_CHECK_OK(t->SealAppendedRows(kRows));
+  ASSERT_TRUE(ringo.ToGraph(t, "a", "b").ok());
+
+  const TablePtr stats = ringo.StatsTable();
+  ASSERT_EQ(stats->schema().column(4).name, "MinFlt");
+  std::map<std::string, int64_t> count, minflt;
+  for (int64_t r = 0; r < stats->NumRows(); ++r) {
+    const std::string name = std::get<std::string>(stats->GetValue(r, 0));
+    count[name] = stats->column(1).GetInt(r);
+    minflt[name] = stats->column(4).GetInt(r);
+  }
+  EXPECT_EQ(count["TableToGraph"], 1);
+  EXPECT_GE(minflt["TableToGraph"], 0);
+  for (const char* name : {"mem/pool_hit", "mem/pool_map", "mem/pool_unmap",
+                           "mem/pool_live_bytes", "mem/pool_idle_bytes"}) {
+    EXPECT_EQ(count.count(name), 1u) << name;
+  }
+  EXPECT_GE(count["mem/pool_hit"] + count["mem/pool_map"], 2);
 }
 
 }  // namespace

@@ -15,9 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "algo/algo_view.h"
 #include "core/conversion.h"
+#include "gen/graph_gen.h"
 #include "stress/stress_support.h"
 #include "test_support.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/radix_sort.h"
 #include "util/rng.h"
@@ -425,6 +428,45 @@ TEST(ConversionStress, SizesAroundTheOnePartCutoff) {
     }
     ExpectBuildsMatch(IntTable(rows), rows, "n=" + std::to_string(n));
   }
+}
+
+// The graph layer's large arrays come from the block pool (DESIGN.md §20).
+// LiveJournalSim 0.3 gives arc buffers, arenas, node tables and AlgoView
+// neighbour arrays above the pool's 2 MiB floor. A convert → view →
+// release cycle returns every block, so the same cycle again maps none,
+// and both cycles lay their graphs out exactly as the bulk layout does.
+TEST(ConversionStress, RepeatedCyclesReusePooledBlocks) {
+  const Rows rows = gen::LiveJournalSimEdges(0.3);
+  const TablePtr t = IntTable(rows);
+  const DirectedGraph want = BulkLayout<DirectedGraph>(rows);
+  const UndirectedGraph uwant = BulkLayout<UndirectedGraph>(rows);
+  const bool metrics_were_on = metrics::Enabled();
+  metrics::SetEnabled(true);
+  ScopedNumThreads threads(StressThreadCounts().back());
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const std::string where = "cycle " + std::to_string(cycle);
+    const int64_t maps = metrics::CounterValue("mem/pool_map");
+    const int64_t takes = metrics::CounterValue("mem/pool_hit") + maps;
+    {
+      const DirectedGraph g = TableToGraph(*t, "s", "d").ValueOrDie();
+      const auto view = AlgoView::Of(g);
+      EXPECT_EQ(view->NumOutArcs(), g.NumEdges()) << where;
+      ExpectBulkLayout(g, want, where);
+      const UndirectedGraph ug = TableToUndirectedGraph(*t, "s", "d")
+                                     .ValueOrDie();
+      const auto uview = AlgoView::Of(ug);
+      EXPECT_EQ(uview->node_index().ids(), ug.SortedNodeIds()) << where;
+      ExpectBulkLayout(ug, uwant, where);
+    }
+    EXPECT_GT(metrics::CounterValue("mem/pool_hit") +
+                  metrics::CounterValue("mem/pool_map"),
+              takes)
+        << where;
+    if (cycle == 1) {
+      EXPECT_EQ(metrics::CounterValue("mem/pool_map"), maps) << where;
+    }
+  }
+  metrics::SetEnabled(metrics_were_on);
 }
 
 }  // namespace

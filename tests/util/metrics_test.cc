@@ -1,6 +1,7 @@
 #include "util/metrics.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <string>
 #include <vector>
@@ -149,6 +150,34 @@ TEST_F(MetricsTest, SpanRssDeltaFollowsCurrentRss) {
   ASSERT_TRUE(q.valid);
   EXPECT_EQ(q.name, "test/touch64");
   EXPECT_GE(q.rss_delta_kb, 32 * 1024);
+}
+
+// A span counts the minor page faults taken inside it: touching 64 MB of
+// freshly mapped memory faults 16K pages of 4 KiB. The buffer is advised
+// MADV_NOHUGEPAGE, so the count does not depend on the host's THP mode.
+TEST_F(MetricsTest, SpanCountsMinorFaults) {
+  constexpr size_t kBytes = size_t{64} << 20;
+  constexpr size_t kPage = 4096;
+  void* mem = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  ::madvise(mem, kBytes, MADV_NOHUGEPAGE);
+  volatile char* bytes = static_cast<char*>(mem);
+  {
+    trace::Span span("test/fault64");
+    for (size_t off = 0; off < kBytes; off += kPage) bytes[off] = 1;
+  }
+  ::munmap(mem, kBytes);
+  const trace::QueryStats q = trace::LastRootSpan();
+  ASSERT_TRUE(q.valid);
+  EXPECT_EQ(q.name, "test/fault64");
+  EXPECT_GE(q.minflt, 8 * 1024);
+  const std::vector<trace::FlatStat> stats = trace::FlatStats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].minflt, q.minflt);
+  EXPECT_NE(trace::ChromeTraceJson().find("\"minflt\":" +
+                                          std::to_string(q.minflt)),
+            std::string::npos);
 }
 
 TEST_F(MetricsTest, FlatStatsAggregateByName) {
